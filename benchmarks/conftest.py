@@ -9,6 +9,10 @@ through environment variables:
     REPRO_BENCH_EVENTS        (default 70)
     REPRO_BENCH_POINTS        (default 5)
 
+The matching micro-benchmarks rewrite the tracked ``BENCH_matching.json``
+only when ``REPRO_BENCH_WRITE=1`` is set, so a plain test run leaves the
+working tree clean.
+
 For a full-scale offline run use the CLI instead:
 ``python -m repro.experiments.run --scale paper``.
 """
@@ -27,8 +31,9 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.context import ExperimentContext
 
-#: Machine-readable matching-benchmark results, written at session end so
-#: the perf trajectory of the matching engine is tracked across PRs.
+#: Machine-readable matching-benchmark results, written at session end
+#: (with ``REPRO_BENCH_WRITE=1``) so the perf trajectory of the matching
+#: engine is tracked across PRs.
 BENCH_MATCHING_PATH = Path(__file__).resolve().parent.parent / "BENCH_matching.json"
 
 
@@ -58,10 +63,11 @@ def best_seconds(fn, repeats: int = 5):
 @pytest.fixture(scope="session")
 def bench_results(bench_config):
     """Dict collected by matching micro-benchmarks, flushed to
-    ``BENCH_matching.json`` at the repo root when the session ends."""
+    ``BENCH_matching.json`` at the repo root when the session ends and
+    ``REPRO_BENCH_WRITE=1`` is set."""
     results = {}
     yield results
-    if not results:
+    if not results or os.environ.get("REPRO_BENCH_WRITE") != "1":
         return
     payload = {
         "schema": 1,

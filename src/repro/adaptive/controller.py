@@ -21,10 +21,16 @@ local-client entries; the controller never even proposes them), so
 subscriber-visible delivery is bit-identical with the controller on or
 off — pruning only widens what inner brokers *forward*.
 
-Table churn (subscribe/unsubscribe/replace) invalidates an engine plan;
-the controller detects it via ``BrokerNetwork.table_version``, restores
-any pruning applied under the old table, and re-plans from the live
-statistics on the next stressed cycle.
+Table churn (subscribe/unsubscribe/replace) is absorbed in proportion to
+the change, not the table.  When ``BrokerNetwork.table_version`` moved,
+the next stressed cycle syncs the engine with one identity pass over
+the registered subscriptions: a gone or replaced subscription leaves the
+plan (its forwarding entries are already exact — unsubscribe deletes
+them, replace resets them), a new prunable one is planned with the
+engine's estimator snapshot, and every unchanged subscription keeps its
+queued option and its applied pruning.  The engine is built over the
+whole table only when there is none: on the first stressed cycle, or
+after a becalmed un-prune discarded it.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.adaptive.probe import SystemConditionsProbe
 from repro.adaptive.statistics import OnlineEventStatistics
 from repro.core.adaptive import AdaptivePruner, SystemConditions
-from repro.core.engine import PruningRecord
+from repro.core.engine import PruningEngine, PruningRecord
 from repro.core.ops import is_prunable
 from repro.errors import PruningError
 from repro.events import Event
@@ -44,6 +50,7 @@ from repro.selectivity.estimator import SelectivityEstimator
 from repro.subscriptions.metrics import memory_bytes
 from repro.subscriptions.nodes import Node
 from repro.subscriptions.normalize import is_normalized
+from repro.subscriptions.subscription import Subscription
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.service.service import PubSubService
@@ -119,6 +126,11 @@ class AdaptiveController:
     with dispatch, ingress flushes, and table churn.  The controller
     never touches local-client (home broker) entries — delivery stays
     exactly what the un-pruned tables would produce.
+
+    The plan survives churn: after a subscribe, unsubscribe or replace
+    only the changed subscriptions enter or leave the engine, so the
+    work done under the lock scales with the change.  A full engine
+    build happens only when there is no engine.
     """
 
     def __init__(self, service: "PubSubService", config: AdaptiveConfig) -> None:
@@ -139,6 +151,9 @@ class AdaptiveController:
         )
         self._pruner: Optional[AdaptivePruner] = None
         self._pruner_version: Optional[int] = None
+        #: subscription id → the registered subscription the engine was
+        #: last synced against (prunable or not), for the identity pass.
+        self._synced: Dict[int, Subscription] = {}
         #: subscription id → pruned tree currently applied to forwarding
         #: tables (and its exact counterpart, for realized-Δsel reports).
         self._applied: Dict[int, Node] = {}
@@ -199,8 +214,6 @@ class AdaptiveController:
                 if self.statistics.observed < self.config.min_observations:
                     return []
                 pruner = self._ensure_pruner()
-                if pruner is None:
-                    return []
                 records = pruner.optimize(
                     conditions, self.config.batch_size, self.config.stop_degradation
                 )
@@ -227,31 +240,27 @@ class AdaptiveController:
             and conditions.filter_saturation < release * config.filter_threshold
         )
 
-    def _ensure_pruner(self) -> Optional[AdaptivePruner]:
-        """The engine for the *current* table, rebuilt after churn.
+    def _ensure_pruner(self) -> AdaptivePruner:
+        """The engine for the *current* table, synced after churn.
 
-        A rebuild restores whatever the stale plan had applied (surviving
-        subscriptions get exact forwarding back) and re-plans from the
-        live statistics snapshot.  ``None`` when no registered
-        subscription is prunable.
+        Built over every prunable registered subscription when there is
+        no engine (possibly empty, so a table without prunable entries
+        is not rescanned every cycle); otherwise brought up to date by
+        :meth:`_sync` when the table version moved.
         """
         network = self._service.network
         version = network.table_version
-        if self._pruner is not None and version == self._pruner_version:
+        if self._pruner is not None:
+            if version != self._pruner_version:
+                self._sync(self._pruner.engine, network.registered_subscriptions())
+                self._pruner_version = version
             return self._pruner
-        if self._applied:
-            self._restore_applied()
+        registered = network.registered_subscriptions()
         candidates = [
             subscription
-            for _sub_id, subscription in sorted(
-                network.registered_subscriptions().items()
-            )
-            if is_normalized(subscription.tree) and is_prunable(subscription.tree)
+            for _sub_id, subscription in sorted(registered.items())
+            if self._plannable(subscription)
         ]
-        self._pruner_version = version
-        if not candidates:
-            self._pruner = None
-            return None
         config = self.config
         self._pruner = AdaptivePruner(
             candidates,
@@ -260,7 +269,49 @@ class AdaptiveController:
             bandwidth_threshold=config.bandwidth_threshold,
             filter_threshold=config.filter_threshold,
         )
+        self._pruner_version = version
+        self._synced = registered
         return self._pruner
+
+    @staticmethod
+    def _plannable(subscription: Subscription) -> bool:
+        return is_normalized(subscription.tree) and is_prunable(subscription.tree)
+
+    def _sync(
+        self, engine: PruningEngine, registered: Dict[int, Subscription]
+    ) -> None:
+        """Move the plan to the live table: drop gone or replaced
+        subscriptions, plan new ones, leave the rest untouched.
+
+        A registered subscription is *changed* when its object is not the
+        one seen at the last sync — ``replace_subscription`` registers a
+        new object under the same id.  Dropped subscriptions need no
+        broker call: unsubscribe deleted their forwarding entries and
+        replace reset them to the new exact tree.
+        """
+        synced = self._synced
+        gone = [sub_id for sub_id in synced if sub_id not in registered]
+        changed = [
+            (sub_id, subscription)
+            for sub_id, subscription in registered.items()
+            if synced.get(sub_id) is not subscription
+        ]
+        for sub_id in gone:
+            self._drop(engine, sub_id)
+            del synced[sub_id]
+        for sub_id, subscription in changed:
+            self._drop(engine, sub_id)
+            synced[sub_id] = subscription
+            if self._plannable(subscription):
+                engine.add(subscription)
+
+    def _drop(self, engine: PruningEngine, sub_id: int) -> None:
+        """Forget one subscription's plan and its applied pruning."""
+        if sub_id in engine:
+            engine.remove(sub_id)
+        if self._applied.pop(sub_id, None) is not None:
+            del self._originals[sub_id], self._estimated[sub_id]
+            self._prunings_reverted += self._applied_ops.pop(sub_id)
 
     # -- acting on the substrate ----------------------------------------------
 
@@ -318,8 +369,9 @@ class AdaptiveController:
         self._applied_ops.clear()
         self._estimated.clear()
         # The engine's accumulated state described tables we just reset;
-        # a later stressed cycle re-plans from fresh statistics.
+        # a later stressed cycle rebuilds it from fresh statistics.
         self._pruner = None
+        self._synced = {}
 
     # -- observability --------------------------------------------------------
 

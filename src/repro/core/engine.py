@@ -7,13 +7,20 @@ next-best option.  Because subscriptions are optimized independently of
 each other, executing one subscription's pruning never invalidates the
 queued options of the others — the queue never goes stale.
 
+The same independence makes the engine incremental: :meth:`PruningEngine.add`
+plans one new subscription and :meth:`PruningEngine.remove` retires one,
+without touching any other queued option.  A removed subscription's
+entry is left in the heap and skipped lazily when it reaches the top;
+the heap is compacted once stale entries outnumber live ones.  An engine
+that never sees ``add``/``remove`` pops in exactly the order it always did.
+
 Stopping rules mirror the paper: perform a fixed number of prunings, or
 keep pruning until a degradation/improvement threshold is crossed.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import PruningError
 from repro.core.heuristics import Dimension, HeuristicVector, PruningHeuristics
@@ -42,6 +49,9 @@ class _QueueEntry(NamedTuple):
     op: PruningOp
     vector: HeuristicVector
     pruned: Node
+    #: The state the option was computed from; the entry is stale once
+    #: that state is no longer the live state of its subscription.
+    state: PruningState
 
 
 class PruningEngine:
@@ -94,6 +104,9 @@ class PruningEngine:
         self._states: Dict[int, PruningState] = {}
         self._references: Dict[int, Tuple[SelectivityEstimate, int]] = {}
         self._heap: StableHeap[_QueueEntry] = StableHeap()
+        #: Ids whose live state has an entry in the heap; every other heap
+        #: entry is stale (left behind by :meth:`remove`).
+        self._queued: Set[int] = set()
         self.records: List[PruningRecord] = []
         for subscription in subscriptions:
             if subscription.id in self._states:
@@ -129,10 +142,56 @@ class PruningEngine:
             key = self.heuristics.key(vector)
             if best_key is None or key < best_key:
                 best_key = key
-                best_entry = _QueueEntry(sub_id, op, vector, pruned)
+                best_entry = _QueueEntry(sub_id, op, vector, pruned, state)
         assert best_entry is not None
         self._heap.push(best_key, best_entry)
+        self._queued.add(sub_id)
         return True
+
+    def _is_live(self, entry: _QueueEntry) -> bool:
+        return self._states.get(entry.subscription_id) is entry.state
+
+    def _drop_stale_top(self) -> None:
+        """Pop stale entries off the top so the heap's minimum is live."""
+        heap = self._heap
+        while len(heap) > len(self._queued) and not self._is_live(heap.peek()[1]):
+            heap.pop()
+
+    # -- incremental maintenance ----------------------------------------------
+
+    def __contains__(self, sub_id: object) -> bool:
+        return sub_id in self._states
+
+    def add(self, subscription: Subscription) -> None:
+        """Plan one more subscription with the engine's current estimator.
+
+        Queues its most effective pruning beside the existing options; no
+        other subscription is re-planned.
+        """
+        sub_id = subscription.id
+        if sub_id in self._states:
+            raise PruningError("duplicate subscription id %d" % sub_id)
+        state = PruningState(subscription)
+        self._states[sub_id] = state
+        self._references[sub_id] = self.heuristics.reference(state)
+        self._push_best(sub_id)
+
+    def remove(self, sub_id: int) -> None:
+        """Retire one subscription and its queued option.
+
+        The option stays in the heap until it surfaces (then it is
+        skipped) or until stale entries outnumber live ones (then the
+        heap is compacted, keeping every live entry's sequence number and
+        so the pop order).  Records already executed are kept.
+        """
+        if sub_id not in self._states:
+            raise PruningError("unknown subscription id %d" % sub_id)
+        del self._states[sub_id]
+        del self._references[sub_id]
+        if sub_id in self._queued:
+            self._queued.discard(sub_id)
+            if len(self._heap) > 2 * len(self._queued):
+                self._heap.retain(self._is_live)
 
     def switch_dimension(
         self, dimension: Dimension, bottom_up_only: Optional[bool] = None
@@ -167,6 +226,7 @@ class PruningEngine:
 
     def _rebuild_queue(self) -> None:
         self._heap.clear()
+        self._queued.clear()
         for sub_id in sorted(self._states):
             self._push_best(sub_id)
 
@@ -175,15 +235,18 @@ class PruningEngine:
     @property
     def exhausted(self) -> bool:
         """True when no subscription offers a further pruning."""
+        self._drop_stale_top()
         return not self._heap
 
     def peek_key(self) -> Optional[Tuple[float, float, float]]:
         """Priority key of the next pruning, or ``None`` when exhausted."""
+        self._drop_stale_top()
         key: Optional[Tuple[float, float, float]] = self._heap.peek_key()
         return key
 
     def peek_vector(self) -> Optional[HeuristicVector]:
         """Heuristic vector of the next pruning, or ``None`` when exhausted."""
+        self._drop_stale_top()
         if not self._heap:
             return None
         _key, entry = self._heap.peek()
@@ -195,10 +258,12 @@ class PruningEngine:
         Returns the record of the executed pruning, or ``None`` when no
         valid pruning remains.
         """
+        self._drop_stale_top()
         if not self._heap:
             return None
         _key, entry = self._heap.pop()
-        state = self._states[entry.subscription_id]
+        self._queued.discard(entry.subscription_id)
+        state = entry.state
         state.record(entry.op, entry.pruned)
         record = PruningRecord(
             sequence=len(self.records),
@@ -226,7 +291,7 @@ class PruningEngine:
         Returns the records of this call's executed prunings.
         """
         executed: List[PruningRecord] = []
-        while self._heap:
+        while not self.exhausted:
             if max_steps is not None and len(executed) >= max_steps:
                 break
             if stop_before is not None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Generic, Iterator, Optional, Tuple, TypeVar
+from typing import Any, Callable, Generic, Iterator, Optional, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -62,6 +62,15 @@ class StableHeap(Generic[T]):
         if not self._entries:
             return None
         return self._entries[0][0]
+
+    def retain(self, keep: Callable[[T], bool]) -> None:
+        """Drop every entry whose payload fails ``keep``.
+
+        Survivors keep their sequence numbers, so the relative pop order
+        of the retained entries is unchanged.
+        """
+        self._entries = [entry for entry in self._entries if keep(entry[2])]
+        heapq.heapify(self._entries)
 
     def clear(self) -> None:
         """Drop every entry."""

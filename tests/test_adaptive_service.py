@@ -6,7 +6,7 @@ through a controller-off oracle service and an adaptive twin and require
 bit-identical delivery streams, under subscription churn and a mid-run
 drift from auction traffic to tree-heavy traffic.  Lifecycle tests drive
 :meth:`AdaptiveController.run_cycle` with explicit conditions to pin the
-dimension policy, the un-prune path, and the churn-restore path.
+dimension policy, the un-prune path, and how the plan survives churn.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import AdaptiveConfig
+from repro.adaptive import controller as controller_module
 from repro.core.adaptive import SystemConditions
 from repro.events import Event
 from repro.routing.topology import line_topology
@@ -143,6 +144,107 @@ def _conditions(memory=0.0, bandwidth=0.0, cpu=0.0):
     )
 
 
+def _pruned_inner_entries(service):
+    """``(broker id, subscription id)`` of every pruned forwarding entry."""
+    return {
+        (broker_id, entry.original.id)
+        for broker_id, broker in service.network.brokers.items()
+        for entry in broker.non_local_entries()
+        if entry.is_pruned
+    }
+
+
+def _inner_entries(service, sub_id):
+    return [
+        broker.entries[sub_id]
+        for broker in service.network.brokers.values()
+        if sub_id in broker.entries and not broker.entries[sub_id].interface.is_client
+    ]
+
+
+def _replace_and_unsubscribe_scenario(churn=None):
+    """Prune, then replace one pruned subscription and unsubscribe another,
+    publishing between every step.
+
+    Without ``churn`` the service is adaptive: explicit stressed cycles
+    drive the controller, it picks the two churned subscriptions among
+    the pruned ones, and the churn contract is asserted along the way.
+    With ``churn=(replaced id, removed id)`` the same inputs run through
+    a controller-off oracle service.  Returns ``(subscriber stream,
+    churned ids)``.
+    """
+    adaptive = churn is None
+    auction = AuctionWorkload(AuctionWorkloadConfig(seed=1234))
+    subscriptions = auction.generate_subscriptions(14)
+    events = auction.generate_events(200)
+    config = _adaptive_config(cycle_events=10**9, stop_degradation=None)
+    with PubSubService(
+        topology=line_topology(3),
+        max_batch=16,
+        adaptive=config if adaptive else None,
+    ) as service:
+        subscriber = service.connect("b2", "alice")
+        handles = [
+            subscriber.subscribe(subscription.tree)
+            for subscription in subscriptions[:12]
+        ]
+        publisher = service.connect("b0", "publisher")
+
+        def publish(chunk):
+            for event in events[chunk * 40 : (chunk + 1) * 40]:
+                publisher.publish(event)
+            service.flush()
+
+        def stressed_cycle():
+            if adaptive:
+                service.adaptive.run_cycle(_conditions(memory=0.95))
+
+        publish(0)
+        stressed_cycle()
+        publish(1)
+        controller = service.adaptive
+        if adaptive:
+            pruned = sorted(controller._applied)
+            assert len(pruned) >= 2
+            replaced_id, removed_id = pruned[0], pruned[1]
+            reverted = (
+                controller._applied_ops[replaced_id]
+                + controller._applied_ops[removed_id]
+            )
+            stale_tree = controller._applied[replaced_id]
+        else:
+            replaced_id, removed_id = churn
+        by_id = {handle.id: handle for handle in handles}
+        new_tree = subscriptions[12].tree
+        by_id[replaced_id].replace(new_tree)
+        by_id[removed_id].unsubscribe()
+        if adaptive:
+            assert all(
+                not entry.is_pruned for entry in _inner_entries(service, replaced_id)
+            )
+            assert _inner_entries(service, removed_id) == []
+        publish(2)
+        stressed_cycle()
+        publish(3)
+        stressed_cycle()
+        stressed_cycle()
+        publish(4)
+        if adaptive:
+            report = controller.report()
+            assert report["prunings_reverted"] == reverted
+            assert report["restores"] == 0
+            engine = controller._pruner.engine
+            assert removed_id not in engine
+            assert removed_id not in controller._applied
+            assert engine.state(replaced_id).original == new_tree
+            for entry in _inner_entries(service, replaced_id):
+                assert entry.original.tree == new_tree
+                assert entry.current.tree != stale_tree
+                if entry.is_pruned:
+                    assert entry.current.tree == engine.state(replaced_id).current
+        return _stream(subscriber), (replaced_id, removed_id)
+
+
 class TestCycleLifecycle:
     def test_dimension_switch_shows_in_history(self):
         """Memory pressure then filter pressure: the history must show the
@@ -188,19 +290,69 @@ class TestCycleLifecycle:
             assert report["bytes_reclaimed"] == 0
             assert report["bytes_reclaimed_total"] > 0
 
-    def test_churn_restores_then_replans(self):
-        """Table churn invalidates the plan: the next stressed cycle first
-        un-prunes the stale application, then prunes the new table."""
+    def test_churn_keeps_plan_and_plans_new_subscription(self):
+        """An unrelated subscribe neither reverts nor re-plans the applied
+        prunings: the next stressed cycle only adds the newcomer."""
         with _warm_service() as service:
             controller = service.adaptive
             assert controller.run_cycle(_conditions(memory=0.95))
             first_applied = controller.report()["prunings_applied"]
+            pruned_before = _pruned_inner_entries(service)
+            assert pruned_before
             session = service.connect("b1", "bob")
-            session.subscribe(And(P("category") == "coins", P("price") <= 10.0))
+            handle = session.subscribe(
+                And(P("category") == "coins", P("price") <= 10.0)
+            )
             assert controller.run_cycle(_conditions(memory=0.95))
             report = controller.report()
-            assert report["prunings_reverted"] == first_applied
+            assert report["prunings_reverted"] == 0
+            assert report["restores"] == 0
             assert report["prunings_applied"] > first_applied
+            assert pruned_before <= _pruned_inner_entries(service)
+            assert handle.id in controller._pruner.engine
+
+    def test_churn_of_pruned_subscriptions_reverts_only_them(self):
+        """Replacing one pruned subscription and unsubscribing another
+        reverts exactly their prunings; the stale tree is never applied
+        again and delivery equals the controller-off oracle throughout."""
+        adaptive, churn = _replace_and_unsubscribe_scenario()
+        oracle, _churn = _replace_and_unsubscribe_scenario(churn=churn)
+        assert adaptive == oracle
+
+    def test_unprunable_table_is_not_rescanned(self, monkeypatch):
+        """A table without prunable subscriptions keeps an (empty) engine:
+        a second stressed cycle at the same table version performs no
+        prunability check, and a later prunable subscribe enters the plan."""
+        calls = []
+        real_is_prunable = controller_module.is_prunable
+
+        def counting_is_prunable(tree, *args, **kwargs):
+            calls.append(tree)
+            return real_is_prunable(tree, *args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "is_prunable", counting_is_prunable)
+        with PubSubService(
+            topology=line_topology(3),
+            adaptive=_adaptive_config(cycle_events=10**9, stop_degradation=None),
+        ) as service:
+            subscriber = service.connect("b2", "alice")
+            for value in range(6):
+                subscriber.subscribe(P("x") == value)
+            publisher = service.connect("b0", "publisher")
+            for index in range(40):
+                publisher.publish(Event({"x": index % 6, "y": index % 3}))
+            service.flush()
+            controller = service.adaptive
+            assert controller.run_cycle(_conditions(memory=0.95)) == []
+            assert len(calls) == 6
+            calls.clear()
+            assert controller.run_cycle(_conditions(memory=0.95)) == []
+            assert calls == []
+            handle = subscriber.subscribe(And(P("x") == 1, P("y") == 2))
+            assert controller.run_cycle(_conditions(memory=0.95))
+            assert len(calls) == 1
+            assert handle.id in controller._pruner.engine
+            assert controller.report()["subscriptions_pruned"] == 1
 
     def test_report_estimated_and_realized_deltas(self):
         with _warm_service() as service:

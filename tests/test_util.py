@@ -62,6 +62,14 @@ class TestStableHeap:
         heap.clear()
         assert len(heap) == 0
 
+    def test_retain_keeps_tie_order(self):
+        heap = StableHeap()
+        for payload in ["a", "drop-1", "b", "drop-2", "c"]:
+            heap.push(1, payload)
+        heap.push(0, "drop-3")
+        heap.retain(lambda payload: not payload.startswith("drop"))
+        assert [heap.pop()[1] for _ in range(len(heap))] == ["a", "b", "c"]
+
 
 class TestStopwatch:
     def test_accumulates_laps(self):
