@@ -1,16 +1,15 @@
 """Micro-benchmark of sharded parallel matching.
 
 Times ``match_batch`` through a :class:`ShardedMatcher` over the full
-executor × shard-count grid — ``serial``, ``threads``, and
-``processes`` (persistent workers fed shared-memory batches) at shard
-counts {1, 2, 4, 8} — against the unsharded :class:`CountingMatcher`
-baseline, on both benchmark workloads:
+executor × shard-count grid — ``serial`` (in-process shards, one
+caller loop) and ``processes`` (persistent workers fed shared-memory
+batches) at shard counts {1, 2, 4, 8} — against the unsharded
+:class:`CountingMatcher` baseline, on both benchmark workloads:
 
-* the auction workload at bench scale (probe-dominated, flat-heavy —
-  the region where threads stay GIL-bound and only the process
-  executor can win);
-* the tree-heavy workload (deep OR-of-ANDs — numpy-bound, where
-  threads overlap because the kernels release the GIL).
+* the auction workload at bench scale (probe-dominated, flat-heavy,
+  small batches — the worker round trip dominates);
+* the tree-heavy workload (deep OR-of-ANDs — long per-shard compute,
+  where worker processes can own whole cores).
 
 Results land under the ``sharding`` key of ``BENCH_matching.json``
 (schema in ``docs/BENCHMARKS.md``), with the host's ``cpu_count`` at
@@ -37,7 +36,7 @@ from repro.matching.sharded import ShardedMatcher
 from repro.workloads.tree_heavy import TreeHeavyConfig, TreeHeavyWorkload
 
 SHARD_COUNTS = [1, 2, 4, 8]
-EXECUTORS = ["serial", "threads", "processes"]
+EXECUTORS = ["serial", "processes"]
 
 TREE_SUBSCRIPTIONS = _env_int("REPRO_BENCH_TREE_SUBSCRIPTIONS", 500)
 TREE_EVENTS = _env_int("REPRO_BENCH_TREE_EVENTS", 256)

@@ -19,7 +19,7 @@ still holds, because the stack heals itself:
 2. **Worker chaos** — a :class:`repro.WorkerFaultInjector` kills a
    matcher worker process on a schedule.  The sharded matcher restarts
    the pool inside the failing call; when the kills loop faster than
-   its crash-loop threshold, it degrades to in-process threads —
+   its crash-loop threshold, it degrades to in-process serial shards —
    bit-identical results, story told by ``health_report()``.
 
 Run:  python examples/chaos_demo.py

@@ -40,7 +40,7 @@ def measure_matching(
     events: EventBatch,
     *,
     shards: Optional[int] = None,
-    executor: ExecutorSpec = "threads",
+    executor: ExecutorSpec = "serial",
 ) -> Tuple[float, float, Union[CountingMatcher, ShardedMatcher]]:
     """Match all events against a fresh engine; return timing and fraction.
 
@@ -51,8 +51,9 @@ def measure_matching(
     ``shards=K`` measures a :class:`ShardedMatcher` over K slot shards
     instead of the single-pipeline engine (identical results; the timing
     then includes the fan-out/merge overhead and any parallel speedup);
-    ``executor`` selects the fan-out — ``"serial"``, ``"threads"``, or
-    ``"processes"`` for worker processes fed shared-memory batches.
+    ``executor`` selects where the shards run — ``"serial"`` in this
+    process, or ``"processes"`` for worker processes fed shared-memory
+    batches.
     Callers measuring with ``"processes"`` should ``close()`` the
     returned matcher (or use it as a context manager) to stop the pool.
     """

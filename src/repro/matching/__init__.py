@@ -14,10 +14,9 @@ interface:
 A third engine composes the first:
 :class:`~repro.matching.sharded.ShardedMatcher` partitions the table
 into K independent counting-engine shards (stable ``sub_id → shard``
-hash) and fans ``match_batch`` out to per-shard workers — numpy releases
-the GIL, so shards run in parallel on threads — merging per-event id
-lists and summing statistics so results are bit-identical to one
-unsharded engine.
+hash), run either in the caller's process or in persistent worker
+processes on separate cores, and merges per-event id lists and sums
+statistics so results are bit-identical to one unsharded engine.
 
 Both engines support ``match_batch`` (:mod:`repro.matching.batch`): the
 counting engine probes its indexes once per batch over the batch's

@@ -1,11 +1,10 @@
 """Persistent per-shard matcher workers in separate processes.
 
-The thread executor of :class:`~repro.matching.sharded.ShardedMatcher`
-only overlaps where numpy releases the GIL; probe-bound workloads stay
-serialized.  This module hosts each shard's
-:class:`~repro.matching.counting.CountingMatcher` in its own **worker
-process**, so shards run on real cores regardless of what the per-shard
-work is made of.
+In-process shards of :class:`~repro.matching.sharded.ShardedMatcher`
+share the caller's interpreter and run one after another.  This module
+hosts each shard's :class:`~repro.matching.counting.CountingMatcher` in
+its own **worker process**, so shards run on real cores regardless of
+what the per-shard work is made of.
 
 Protocol (one duplex pipe per shard; the parent is the only client):
 

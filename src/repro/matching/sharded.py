@@ -1,4 +1,4 @@
-"""Sharded parallel matching: slot-shard a broker table behind ``match_batch``.
+"""Sharded matching: slot-shard a broker table behind ``match_batch``.
 
 A single :class:`~repro.matching.counting.CountingMatcher` runs one
 serial numpy pipeline per table, however many cores the host has.  The
@@ -10,27 +10,28 @@ independent counting engine with its own
 tree program — changes nothing about any individual verdict.  Matching
 a batch then fans out to the shards and merges the per-event id lists.
 
-Three executors fan a batch out:
+Two executors run the shards:
 
-* ``"serial"`` — an in-caller loop, fully deterministic scheduling;
-* ``"threads"`` — an owned ``ThreadPoolExecutor``; overlap is limited
-  to where numpy releases the GIL;
+* ``"serial"`` — the shard engines live in the caller's process and a
+  plain in-caller loop runs them, fully deterministic; it is the test
+  oracle for the process path and the crash-loop fallback;
 * ``"processes"`` — each shard's engine lives in a persistent **worker
   process** (:mod:`repro.matching.process_pool`), so shards run on real
   cores.  The batch ships once per ``match_batch`` through a shared
   -memory segment (:mod:`repro.matching.shm`); workers rebuild
   zero-copy views.  The parent keeps each shard's authority table (for
-  synchronous duplicate/unknown-id errors and introspection) and syncs
-  the worker replicas through a **subscription log**: every register/
-  unregister/replace appends one compact op
+  synchronous duplicate/unknown-id errors) and syncs the worker
+  replicas through a **subscription log**: every register/unregister/
+  replace appends one compact op
   (:func:`repro.subscriptions.serialize.op_to_dict`) to the shard's
   pending log, drained with the next request.  A fresh or restarted
   pool is seeded by replaying the full table into the log — the broker
-  restart/migration machinery.  A worker failure tears the pool down
-  and the *same* ``match_batch`` call retries on a fresh pool; a crash
-  loop (``crash_loop_threshold`` failures inside a trailing
-  ``crash_loop_window``) trips a circuit breaker that degrades the
-  matcher to the in-process ``"threads"`` executor with bit-identical
+  restart/migration machinery.  Every worker request (match,
+  introspection, ``fulfilled_counts``) goes through one self-healing
+  round trip: a worker failure tears the pool down and the *same* call
+  retries on a fresh pool; a crash loop (``crash_loop_threshold``
+  failures inside a trailing ``crash_loop_window``) trips a circuit
+  breaker that degrades the matcher to ``"serial"`` with bit-identical
   results (:meth:`ShardedMatcher.health_report` tells the story;
   ``crash_loop_threshold=None`` restores raise-on-failure).
 
@@ -49,9 +50,9 @@ Design invariants:
   slot partition — identical, counter for counter, to the unsharded
   engine on the same table, whichever executor ran the shards
   (property-tested in ``tests/test_sharded.py``).
-* **Deterministic merging.**  Worker results are collected in shard
-  index order regardless of completion order, so a threaded or
-  process-pooled run is indistinguishable from a serial one.
+* **Deterministic merging.**  Worker replies are collected in shard
+  index order regardless of completion order, so a process-pooled run
+  is indistinguishable from a serial one.
 * **Coarse external locking.**  One lock serializes the public mutating
   and matching entry points, so concurrent callers interleave at call
   granularity (each call still fans out internally).  Shard-internal
@@ -71,18 +72,17 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
 from typing import (
     Any,
     Callable,
     Deque,
     Dict,
     List,
+    Literal,
     NamedTuple,
     Optional,
     Sequence,
     Tuple,
-    TypeVar,
     Union,
 )
 
@@ -96,23 +96,19 @@ from repro.matching.stats import MatchStatistics
 from repro.subscriptions.serialize import op_to_dict
 from repro.subscriptions.subscription import Subscription
 
-_T = TypeVar("_T")
-
 _MASK64 = (1 << 64) - 1
 
-#: Executor selection: ``"serial"`` (in-caller loop, fully deterministic
-#: scheduling), ``"threads"`` (an owned ``ThreadPoolExecutor``, one
-#: worker per shard), ``"processes"`` (persistent shard worker
-#: processes fed shared-memory batches), or any
-#: ``concurrent.futures.Executor`` instance (treated like threads).
-ExecutorSpec = Union[str, Executor]
+#: Executor selection: ``"serial"`` (in-process shard engines run by an
+#: in-caller loop, fully deterministic) or ``"processes"`` (persistent
+#: shard worker processes fed shared-memory batches).
+ExecutorSpec = Literal["serial", "processes"]
 
 
 class PoolHealth(NamedTuple):
     """Snapshot of a :class:`ShardedMatcher`'s self-healing state.
 
     ``executor`` is the mode currently serving matches (``"processes"``
-    until the crash-loop breaker trips, ``"threads"`` after a
+    until the crash-loop breaker trips, ``"serial"`` after a
     degradation); ``crashes`` counts every worker-pool failure observed,
     ``recent_crashes`` only those within the trailing
     ``crash_loop_window`` seconds, and ``rebuilds`` how many times a
@@ -158,7 +154,7 @@ class ShardedMatcher(Matcher):
     """K independent counting-engine shards behind one ``Matcher`` face.
 
     ``shards`` fixes the partition width for the matcher's lifetime;
-    ``executor`` picks how a batch fans out (see :data:`ExecutorSpec`).
+    ``executor`` picks where the shards run (see :data:`ExecutorSpec`).
     ``compact_free_fraction`` is forwarded to every shard's
     :class:`CountingMatcher`.  ``start_method`` (processes only)
     overrides the :mod:`multiprocessing` start method; ``None`` defers
@@ -176,7 +172,7 @@ class ShardedMatcher(Matcher):
         self,
         shards: int = 4,
         *,
-        executor: ExecutorSpec = "threads",
+        executor: ExecutorSpec = "serial",
         compact_free_fraction: Optional[float] = 0.5,
         start_method: Optional[str] = None,
         crash_loop_threshold: Optional[int] = 3,
@@ -184,6 +180,10 @@ class ShardedMatcher(Matcher):
     ) -> None:
         if shards < 1:
             raise MatchingError("shard count must be >= 1, got %d" % shards)
+        if executor not in ("serial", "processes"):
+            raise MatchingError(
+                "executor must be 'serial' or 'processes', got %r" % (executor,)
+            )
         if crash_loop_threshold is not None and crash_loop_threshold < 1:
             raise MatchingError(
                 "crash_loop_threshold must be >= 1 or None, got %d"
@@ -201,9 +201,8 @@ class ShardedMatcher(Matcher):
         # Self-healing state ("processes" mode): worker-pool failures
         # tear the pool down and retry on fresh workers; the crash-loop
         # circuit breaker counts failures in a trailing window and, at
-        # the threshold, degrades to the in-process thread executor
-        # (``None`` disables both — failures raise, as diagnostics
-        # sometimes want).
+        # the threshold, degrades to in-process serial shards (``None``
+        # disables both — failures raise, as diagnostics sometimes want).
         self._crash_loop_threshold = crash_loop_threshold
         self._crash_loop_window = crash_loop_window
         self._fault_injector: Any = None
@@ -213,25 +212,8 @@ class ShardedMatcher(Matcher):
         self._degraded = False
         self._degraded_reason: Optional[str] = None
         self._last_crash: Optional[float] = None
-        self._executor: Optional[Executor] = None
-        self._owns_executor = False
-        self._threaded = False
-        self._processes = False
+        self._processes = executor == "processes"
         self._pool: Optional[ShardWorkerPool] = None
-        if isinstance(executor, Executor):
-            self._executor = executor
-            self._threaded = True
-        elif executor == "serial":
-            pass
-        elif executor == "threads":
-            self._threaded = True
-        elif executor == "processes":
-            self._processes = True
-        else:
-            raise MatchingError(
-                "executor must be 'serial', 'threads', 'processes', or an "
-                "Executor, got %r" % (executor,)
-            )
         # In-process shard engines (empty in "processes" mode, where the
         # engines live in the workers and the parent keeps only tables).
         self._matchers: Tuple[CountingMatcher, ...] = (
@@ -366,18 +348,17 @@ class ShardedMatcher(Matcher):
 
     def match(self, event: Event) -> List[int]:
         if self._processes:
-            return self._match_batch_remote(EventBatch([event]))[0]
+            return self.match_batch(EventBatch([event]))[0]
         with self._lock:
             # Timed inside the lock: a caller's queue wait is not
             # matching work, and must not inflate ``elapsed_seconds``
             # (brokers report it as filtering time).
             started = time.perf_counter()
             before = self._counter_totals()
-            per_shard = self._map(lambda matcher: matcher.match(event))
             merged = sorted(
-                sub_id for matched in per_shard for sub_id in matched
+                sub_id for matcher in self._matchers for sub_id in matcher.match(event)
             )
-            self._account(1, before, started)
+            self._account(1, self._deltas_since(before), started)
         return merged
 
     def match_batch(
@@ -392,49 +373,41 @@ class ShardedMatcher(Matcher):
         shared-memory segment (see :mod:`repro.matching.shm`).
         """
         batch = EventBatch.coerce(events)
-        if self._processes:
-            return self._match_batch_remote(batch)
-        batch.columns()
+        columns = batch.columns()
         count = len(batch.events)
         with self._lock:
             started = time.perf_counter()
-            before = self._counter_totals()
-            per_shard = self._map(
-                lambda matcher: matcher.match_batch(batch)
-                if matcher.subscription_count
-                else None
-            )
-            results = [
-                sorted(
-                    sub_id
-                    for matched in per_shard
-                    if matched is not None
-                    for sub_id in matched[row]
+            replies = self._request("match", columns)
+            if replies is None:
+                return self._match_batch_local(batch, started)
+            merged: List[List[int]] = [[] for _ in range(count)]
+            deltas = (0, 0, 0, 0)
+            for matched, shard_deltas in replies:
+                deltas = tuple(
+                    total + delta for total, delta in zip(deltas, shard_deltas)
                 )
-                for row in range(count)
-            ]
-            self._account(count, before, started)
+                for row, ids in enumerate(matched):
+                    if ids:
+                        merged[row].extend(ids)
+            self._account(count, deltas, started)
+            return [sorted(ids) for ids in merged]
+
+    def _match_batch_local(
+        self, batch: EventBatch, started: float
+    ) -> List[List[int]]:
+        """Match on the in-process shard engines (caller holds the lock)."""
+        before = self._counter_totals()
+        per_shard = [
+            matcher.match_batch(batch)
+            for matcher in self._matchers
+            if matcher.subscription_count
+        ]
+        results = [
+            sorted(sub_id for matched in per_shard for sub_id in matched[row])
+            for row in range(len(batch.events))
+        ]
+        self._account(len(batch.events), self._deltas_since(before), started)
         return results
-
-    def _map(
-        self, fn: Callable[[CountingMatcher], _T]
-    ) -> List[_T]:
-        """``fn`` over every shard; results in shard-index order."""
-        matchers = self._matchers
-        if not self._threaded or len(matchers) == 1:
-            return [fn(matcher) for matcher in matchers]
-        executor = self._ensure_executor()
-        futures = [executor.submit(fn, matcher) for matcher in matchers]
-        return [future.result() for future in futures]
-
-    def _ensure_executor(self) -> Executor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=len(self._matchers),
-                thread_name_prefix="repro-shard",
-            )
-            self._owns_executor = True
-        return self._executor
 
     # -- process-shard path ---------------------------------------------------
 
@@ -468,14 +441,6 @@ class ShardedMatcher(Matcher):
         # Stale deltas die with the pool; a future pool replays tables.
         self._pending = [[] for _ in range(self._shard_count)]
 
-    def _sync_targets(self) -> List[int]:
-        """Shards that must see this request (non-empty table or log)."""
-        return [
-            shard
-            for shard in range(self._shard_count)
-            if self._tables[shard] or self._pending[shard]
-        ]
-
     def set_fault_injector(self, injector: Any) -> None:
         """Install (or clear, with ``None``) a chaos hook.
 
@@ -503,7 +468,7 @@ class ShardedMatcher(Matcher):
             self._crash_times.popleft()
         return len(self._crash_times)
 
-    def _degrade_to_threads(self, reason: str) -> None:
+    def _degrade(self, reason: str) -> None:
         """Trip the breaker: rebuild in-process shard engines and leave
         ``"processes"`` mode for good (this matcher's lifetime).
 
@@ -521,126 +486,72 @@ class ShardedMatcher(Matcher):
                 matchers[shard].register(subscription)
         self._matchers = matchers
         self._processes = False
-        self._threaded = True
         self._degraded = True
         self._degraded_reason = reason
         self._pending = [[] for _ in range(self._shard_count)]
 
-    def _dispatch_match(
-        self, columns: object, count: int
-    ) -> Tuple[List[List[int]], Tuple[int, int, int, int]]:
-        """One pool round trip (caller holds the lock); may raise
-        :class:`~repro.errors.MatchingError` on any worker failure."""
-        pool = self._ensure_pool()
-        merged: List[List[int]] = [[] for _ in range(count)]
-        deltas = (0, 0, 0, 0)
-        if self._fault_injector is not None:
-            self._fault_injector.before_pack()
-        packed = pack_columns(columns)
-        try:
-            targets = self._sync_targets()
-            for shard in targets:
-                ops = self._pending[shard]
-                self._pending[shard] = []
-                pool.send(shard, "match", ops, packed)
-            for shard in targets:
-                matched, shard_deltas = pool.recv(shard)
-                deltas = tuple(
-                    total + delta
-                    for total, delta in zip(deltas, shard_deltas)
-                )
-                for row, ids in enumerate(matched):
-                    if ids:
-                        merged[row].extend(ids)
-        finally:
-            release_columns(packed)
-        return merged, deltas
+    def _round_trip(self, command: str, payload: object = None) -> List[Any]:
+        """One request to every shard that must see it; replies in shard
+        order.
 
-    def _match_batch_remote(self, batch: EventBatch) -> List[List[int]]:
-        count = len(batch.events)
-        columns = batch.columns()
-        with self._lock:
-            started = time.perf_counter()
-            merged: List[List[int]] = []
-            deltas = (0, 0, 0, 0)
-            while self._processes:
-                try:
-                    merged, deltas = self._dispatch_match(columns, count)
-                    break
-                except MatchingError as error:
-                    # A failed worker invalidates the replicas: drop the
-                    # pool.  With the breaker enabled the *same call*
-                    # retries on a fresh pool (tables replayed), and a
-                    # crash loop — threshold failures inside the window
-                    # — degrades to the in-process thread executor
-                    # below, with bit-identical results.
-                    self._teardown_pool()
-                    recent = self._note_crash()
-                    if self._crash_loop_threshold is None:
-                        raise
-                    if recent >= self._crash_loop_threshold:
-                        self._degrade_to_threads(
-                            "crash loop: %d worker-pool failures within "
-                            "%.6gs window (last: %s)"
-                            % (recent, self._crash_loop_window, error)
-                        )
-            if self._processes:
-                results = [sorted(ids) for ids in merged]
-                stats = self.statistics
-                stats.events += count
-                stats.matches += deltas[0]
-                stats.candidates += deltas[1]
-                stats.tree_evaluations += deltas[2]
-                stats.fulfilled_predicates += deltas[3]
-                stats.elapsed_seconds += time.perf_counter() - started
-                return results
-            # Degraded (this call or a concurrent one): the in-process
-            # shard engines serve the batch.
-            before = self._counter_totals()
-            per_shard = self._map(
-                lambda matcher: matcher.match_batch(batch)
-                if matcher.subscription_count
-                else None
-            )
-            results = [
-                sorted(
-                    sub_id
-                    for matched in per_shard
-                    if matched is not None
-                    for sub_id in matched[row]
-                )
-                for row in range(count)
-            ]
-            self._account(count, before, started)
-            return results
-
-    def _remote_counts(self) -> Tuple[int, int, int, int]:
-        """Summed worker introspection (subs, entries, trees, negated).
-
-        Caller must hold the lock.  Drains pending ops on the way, so
-        the answer reflects every mutation made so far.
+        Caller holds the lock.  Shards with a non-empty table or pending
+        log are targeted, and each drains its log on the way, so the
+        answer reflects every mutation made so far.  ``match`` packs its
+        column payload into shared memory for the round trip.  Raises
+        :class:`~repro.errors.MatchingError` on any worker failure.
         """
         pool = self._ensure_pool()
-        totals = [0, 0, 0, 0]
-        targets = self._sync_targets()
+        packed = None
+        if command == "match":
+            if self._fault_injector is not None:
+                self._fault_injector.before_pack()
+            payload = packed = pack_columns(payload)
         try:
+            targets = [
+                shard
+                for shard in range(self._shard_count)
+                if self._tables[shard] or self._pending[shard]
+            ]
             for shard in targets:
                 ops = self._pending[shard]
                 self._pending[shard] = []
-                pool.send(shard, "introspect", ops)
-            for shard in targets:
-                counts = pool.recv(shard)
-                totals = [total + count for total, count in zip(totals, counts)]
-        except MatchingError:
-            self._teardown_pool()
-            self._note_crash()
-            raise
-        return totals[0], totals[1], totals[2], totals[3]
+                pool.send(shard, command, ops, payload)
+            return [pool.recv(shard) for shard in targets]
+        finally:
+            if packed is not None:
+                release_columns(packed)
+
+    def _request(self, command: str, payload: object = None) -> Optional[List[Any]]:
+        """:meth:`_round_trip` under the self-healing policy.
+
+        Caller holds the lock.  Returns ``None`` when the matcher is not
+        (or no longer) in ``"processes"`` mode, so the caller answers
+        from the in-process engines.  A failed worker invalidates the
+        replicas, so the pool is dropped; with the breaker enabled the
+        *same request* retries on a fresh pool (tables replayed), and a
+        crash loop — threshold failures inside the window — degrades to
+        serial shards with bit-identical results.
+        """
+        while self._processes:
+            try:
+                return self._round_trip(command, payload)
+            except MatchingError as error:
+                self._teardown_pool()
+                recent = self._note_crash()
+                if self._crash_loop_threshold is None:
+                    raise
+                if recent >= self._crash_loop_threshold:
+                    self._degrade(
+                        "crash loop: %d worker-pool failures within "
+                        "%.6gs window (last: %s)"
+                        % (recent, self._crash_loop_window, error)
+                    )
+        return None
 
     # -- statistics -----------------------------------------------------------
 
     def _counter_totals(self) -> Tuple[int, int, int, int]:
-        """Sum of the shards' path-independent counters.
+        """Sum of the in-process shards' path-independent counters.
 
         ``events`` and ``elapsed_seconds`` are deliberately excluded:
         every shard counts the whole batch as its own events and its own
@@ -658,48 +569,60 @@ class ShardedMatcher(Matcher):
             fulfilled += stats.fulfilled_predicates
         return matches, candidates, evaluations, fulfilled
 
+    def _deltas_since(
+        self, before: Tuple[int, int, int, int]
+    ) -> Tuple[int, ...]:
+        """The in-process shards' counter growth since ``before``."""
+        return tuple(
+            total - prior for total, prior in zip(self._counter_totals(), before)
+        )
+
     def _account(
         self,
         event_count: int,
-        before: Tuple[int, int, int, int],
+        deltas: Sequence[int],
         started: float,
     ) -> None:
-        after = self._counter_totals()
+        """Add one batch's counter ``deltas`` to the aggregate."""
         stats = self.statistics
         stats.events += event_count
-        stats.matches += after[0] - before[0]
-        stats.candidates += after[1] - before[1]
-        stats.tree_evaluations += after[2] - before[2]
-        stats.fulfilled_predicates += after[3] - before[3]
+        stats.matches += deltas[0]
+        stats.candidates += deltas[1]
+        stats.tree_evaluations += deltas[2]
+        stats.fulfilled_predicates += deltas[3]
         stats.elapsed_seconds += time.perf_counter() - started
 
     # -- introspection --------------------------------------------------------
 
+    def _introspect(
+        self, column: int, local: Callable[[CountingMatcher], int]
+    ) -> int:
+        """Sum one introspection count over the shards, wherever they run.
+
+        ``column`` indexes the workers' ``(subscriptions, entries, tree
+        slots, negated entries)`` reply; ``local`` reads the same count
+        from an in-process engine.
+        """
+        with self._lock:
+            replies = self._request("introspect")
+            if replies is None:
+                return sum(local(matcher) for matcher in self._matchers)
+            return sum(counts[column] for counts in replies)
+
     @property
     def entry_count(self) -> int:
         """Live predicate entries across all shards."""
-        with self._lock:
-            if self._processes:
-                return self._remote_counts()[1]
-            return sum(matcher.entry_count for matcher in self._matchers)
+        return self._introspect(1, lambda matcher: matcher.entry_count)
 
     @property
     def tree_slot_count(self) -> int:
         """Live general-tree subscriptions across all shards."""
-        with self._lock:
-            if self._processes:
-                return self._remote_counts()[2]
-            return sum(matcher.tree_slot_count for matcher in self._matchers)
+        return self._introspect(2, lambda matcher: matcher.tree_slot_count)
 
     @property
     def negated_entry_count(self) -> int:
         """Live negated-operator entries across all shards."""
-        with self._lock:
-            if self._processes:
-                return self._remote_counts()[3]
-            return sum(
-                matcher.negated_entry_count for matcher in self._matchers
-            )
+        return self._introspect(3, lambda matcher: matcher.negated_entry_count)
 
     def health_report(self) -> PoolHealth:
         """The matcher's self-healing state (see :class:`PoolHealth`)."""
@@ -707,14 +630,8 @@ class ShardedMatcher(Matcher):
             now = time.monotonic()
             cutoff = now - self._crash_loop_window
             recent = sum(1 for stamp in self._crash_times if stamp >= cutoff)
-            if self._processes:
-                executor = "processes"
-            elif self._threaded:
-                executor = "threads"
-            else:
-                executor = "serial"
             return PoolHealth(
-                executor=executor,
+                executor="processes" if self._processes else "serial",
                 degraded=self._degraded,
                 crashes=self._crashes,
                 rebuilds=max(0, self._pools_built - 1),
@@ -736,42 +653,26 @@ class ShardedMatcher(Matcher):
     def fulfilled_counts(self, event: Event) -> Dict[int, int]:
         """Fulfilled-predicate count per subscription id (diagnostics)."""
         with self._lock:
+            replies = self._request("fulfilled", event.to_dict())
+            if replies is None:
+                replies = [
+                    matcher.fulfilled_counts(event) for matcher in self._matchers
+                ]
             merged: Dict[int, int] = {}
-            if self._processes:
-                pool = self._ensure_pool()
-                targets = self._sync_targets()
-                try:
-                    for shard in targets:
-                        ops = self._pending[shard]
-                        self._pending[shard] = []
-                        pool.send(shard, "fulfilled", ops, event.to_dict())
-                    for shard in targets:
-                        merged.update(pool.recv(shard))
-                except MatchingError:
-                    self._teardown_pool()
-                    self._note_crash()
-                    raise
-                return merged
-            for matcher in self._matchers:
-                merged.update(matcher.fulfilled_counts(event))
+            for counts in replies:
+                merged.update(counts)
             return merged
 
     # -- lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the owned thread pool / worker pool (idempotent).
+        """Shut down the worker pool, if any (idempotent).
 
-        Only the executor the matcher created itself is shut down;
-        injected executors belong to the caller.  The matcher stays
-        usable afterwards — the next batch lazily builds a fresh pool
-        (in ``"processes"`` mode by replaying the authority tables into
-        new workers).
+        The matcher stays usable afterwards — in ``"processes"`` mode
+        the next request lazily builds a fresh pool by replaying the
+        authority tables into new workers.
         """
         with self._lock:
-            if self._owns_executor and self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
-                self._owns_executor = False
             self._teardown_pool()
 
     def __enter__(self) -> "ShardedMatcher":
@@ -783,10 +684,8 @@ class ShardedMatcher(Matcher):
     def __repr__(self) -> str:
         if self._processes:
             mode = "processes"
-        elif self._threaded:
-            mode = "threaded (degraded)" if self._degraded else "threaded"
         else:
-            mode = "serial"
+            mode = "serial (degraded)" if self._degraded else "serial"
         return "ShardedMatcher(%d shards, %d subscriptions, %s)" % (
             self._shard_count,
             self.subscription_count,

@@ -68,11 +68,11 @@ class Broker:
 
     ``shards`` switches the broker's engine from one
     :class:`CountingMatcher` to a :class:`ShardedMatcher` over that many
-    independent slot shards; ``executor`` picks how sharded batches fan
-    out (``"threads"``, ``"serial"``, ``"processes"`` for worker
-    processes fed shared-memory batches, or an ``Executor`` — see
+    independent slot shards; ``executor`` picks where the shards run
+    (``"serial"`` in the broker's process, ``"processes"`` in worker
+    processes fed shared-memory batches — see
     :mod:`repro.matching.sharded`).  Results are identical either way;
-    sharding only changes how many cores one table can use.  Brokers
+    only worker processes let one table use more than one core.  Brokers
     are context managers: ``with Broker(...) as broker:`` tears the
     engine down (worker pools, shared segments) on exit.
     """
@@ -82,7 +82,7 @@ class Broker:
         broker_id: str,
         *,
         shards: Optional[int] = None,
-        executor: ExecutorSpec = "threads",
+        executor: ExecutorSpec = "serial",
     ) -> None:
         self.id = broker_id
         self.neighbors: List[str] = []

@@ -66,10 +66,10 @@ class BrokerNetwork:
 
     ``shards``/``executor`` configure every broker's matching engine:
     with ``shards=K`` each broker partitions its table into K
-    independent slot shards and fans batches out to per-shard workers —
-    threads by default, or persistent worker processes with
-    ``executor="processes"`` (see :mod:`repro.matching.sharded`);
-    results and accounting are identical to the unsharded default.
+    independent slot shards — run in the broker's process by default,
+    or in persistent worker processes with ``executor="processes"``
+    (see :mod:`repro.matching.sharded`); results and accounting are
+    identical to the unsharded default.
     The network is a context manager; exiting closes every broker.
 
     >>> from repro.routing.topology import line_topology
@@ -90,7 +90,7 @@ class BrokerNetwork:
         cost_model: Optional[CostModel] = None,
         *,
         shards: Optional[int] = None,
-        executor: ExecutorSpec = "threads",
+        executor: ExecutorSpec = "serial",
     ) -> None:
         self.topology = topology
         self.cost_model = cost_model or CostModel()

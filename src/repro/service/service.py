@@ -57,12 +57,13 @@ class PubSubService:
 
     Construct from a topology (the service builds the network) or wrap
     an existing :class:`BrokerNetwork`.  With a topology,
-    ``shards=K`` builds every broker with a sharded matching engine —
-    ``PubSubService(topology=..., shards=4)`` lets each broker's
-    ``match_batch`` use up to four cores, and ``executor="processes"``
-    moves each shard into a persistent worker process fed shared-memory
-    batches (see :mod:`repro.matching.sharded`); results are identical
-    to the unsharded default.  Use the service as a context manager (or
+    ``shards=K`` builds every broker with a sharded matching engine of
+    K in-process shards, and ``executor="processes"`` moves each shard
+    into a persistent worker process fed shared-memory batches, so
+    ``PubSubService(topology=..., shards=4, executor="processes")`` lets
+    each broker's ``match_batch`` use up to four cores (see
+    :mod:`repro.matching.sharded`); results are identical to the
+    unsharded default.  Use the service as a context manager (or
     call :meth:`close`) so worker pools are torn down.
     ``adaptive=AdaptiveConfig(...)`` switches on the runtime pruning
     loop (see :mod:`repro.adaptive`): the dispatch path feeds live event
@@ -106,7 +107,7 @@ class PubSubService:
                 topology,
                 cost_model,
                 shards=shards,
-                executor="threads" if executor is None else executor,
+                executor="serial" if executor is None else executor,
             )
         elif (
             topology is not None

@@ -119,19 +119,18 @@ def trees(max_leaves: int = 8) -> st.SearchStrategy:
 
 #: Matcher construction recipes for equivalence suites that should run
 #: their corpus against both the unsharded engine and the sharded path
-#: (serial for shrinkability, threaded for the production fan-out).
+#: (serial for shrinkability, worker processes for the production
+#: fan-out).
 #: Usable as ``@pytest.mark.parametrize("make_matcher", MATCHER_FACTORIES,
 #: ids=MATCHER_FACTORY_IDS)``.
 MATCHER_FACTORIES = [
     CountingMatcher,
     lambda: ShardedMatcher(3, executor="serial"),
-    lambda: ShardedMatcher(2, executor="threads"),
     lambda: ShardedMatcher(2, executor="processes"),
 ]
 MATCHER_FACTORY_IDS = [
     "counting",
     "sharded-serial-3",
-    "sharded-threads-2",
     "sharded-processes-2",
 ]
 

@@ -14,7 +14,7 @@ to its in-process oracle session — same events, same sequence numbers
 
 A second scenario pins the crash-loop circuit breaker: a worker pool
 whose every ``match`` request dies trips the breaker, the matcher
-degrades from processes to in-process threads, and the answers — the
+degrades from processes to in-process serial shards, and the answers — the
 whole point of the breaker — never change.
 """
 
@@ -249,7 +249,7 @@ class TestChaosSoak:
             health = sharded.health_report()
             assert results == expected  # bit-identical through the break
             assert health.degraded
-            assert health.executor == "threads"
+            assert health.executor == "serial"
             assert health.crashes >= 2
             assert health.degraded_reason is not None
             assert "crash loop" in health.degraded_reason
@@ -262,4 +262,4 @@ class TestChaosSoak:
             tail = [_event(i) for i in range(64, 72)]
             assert sharded.match_batch(tail) == plain.match_batch(tail)
             report = sharded.health_report()
-            assert report.degraded and report.executor == "threads"
+            assert report.degraded and report.executor == "serial"

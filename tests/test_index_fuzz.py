@@ -127,8 +127,8 @@ def test_matchers_track_direct_predicate_evaluation(
             live.remove(sub_id)
         assert matcher.match_batch([event, event]) == [expected(live)] * 2
     finally:
-        # The threaded factory owns a worker pool; one leaked pool per
-        # hypothesis example would pile up idle threads.
+        # The process factory owns a worker pool; one leaked pool per
+        # hypothesis example would pile up idle worker processes.
         matcher.close()
 
 

@@ -362,7 +362,7 @@ class TestSubstrate:
 
 
 class TestShardedService:
-    """Flake-proofing pins: a threaded sharded engine must not perturb
+    """Flake-proofing pins: a process-sharded engine must not perturb
     the service's observable stream.
 
     The ingress flush grouping, per-sink notification order, and
@@ -375,7 +375,7 @@ class TestShardedService:
     def _stream(self, shards):
         service = PubSubService(
             topology=line_topology(3), max_batch=3, shards=shards,
-            executor="threads" if shards else "serial",
+            executor="processes" if shards else "serial",
         )
         with service:
             alice = service.connect("b2", "alice")
@@ -420,15 +420,17 @@ class TestShardedService:
             PubSubService(network=network, executor="serial")
 
     def test_close_shuts_down_shard_pools(self):
-        service = PubSubService(topology=line_topology(2), shards=2)
+        service = PubSubService(
+            topology=line_topology(2), shards=2, executor="processes"
+        )
         alice = service.connect("b1", "alice")
         alice.subscribe(P("x") >= 0)
         service.publish("b0", Event({"x": 1}))
         service.flush()
         matchers = [broker.matcher for broker in service.network.brokers.values()]
-        assert any(matcher._executor is not None for matcher in matchers)
+        assert any(matcher._pool is not None for matcher in matchers)
         service.close()
-        assert all(matcher._executor is None for matcher in matchers)
+        assert all(matcher._pool is None for matcher in matchers)
         # The substrate stays usable: pools rebuild lazily on demand
         # (close() withdrew the session's subscriptions, so register a
         # substrate-level one to see a delivery again).
@@ -438,7 +440,7 @@ class TestShardedService:
         )
         assert network.publish("b0", Event({"x": 2})).deliveries
         network.close()
-        assert all(matcher._executor is None for matcher in matchers)
+        assert all(matcher._pool is None for matcher in matchers)
 
 
 class TestDeliveryContainment:

@@ -3,12 +3,12 @@
 The equivalence harness of the sharded engine
 (:mod:`repro.matching.sharded`): at every point of an arbitrary
 register/unregister/replace churn history, for every shard count and
-every executor — serial, threaded, and process workers fed
-shared-memory batches — a :class:`ShardedMatcher` must produce exactly the
+every executor — serial, and process workers fed shared-memory
+batches — a :class:`ShardedMatcher` must produce exactly the
 per-event id lists of one unsharded :class:`CountingMatcher` over the
 same table — and exactly its path-independent ``MatchStatistics``
 counters — including empty shards and worst-case all-subscriptions-in-
-one-shard skew.  A concurrency stress section hammers a threaded
+one-shard skew.  A concurrency stress section hammers a process-sharded
 matcher from many caller threads and asserts the merge stays
 deterministic.
 """
@@ -35,7 +35,7 @@ from tests import strategies
 _OPS = ["register", "register", "replace", "unregister"]
 
 SHARD_COUNTS = [1, 2, 3, 8]
-EXECUTORS = ["serial", "threads", "processes"]
+EXECUTORS = ["serial", "processes"]
 
 
 def churn_ops():
@@ -201,6 +201,11 @@ def test_invalid_configuration_rejected():
         ShardedMatcher(0)
     with pytest.raises(MatchingError):
         ShardedMatcher(2, executor="fibers")
+    with pytest.raises(MatchingError):
+        ShardedMatcher(2, executor="threads")
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(MatchingError):
+            ShardedMatcher(2, executor=pool)
 
 
 def test_out_of_range_shard_routing_rejected():
@@ -212,31 +217,15 @@ def test_out_of_range_shard_routing_rejected():
         Broken(2, executor="serial").register(Subscription(1, P("a") == 1))
 
 
-def test_injected_executor_is_not_shut_down_by_close():
-    pool = ThreadPoolExecutor(max_workers=2)
-    try:
-        matcher = ShardedMatcher(2, executor=pool)
-        matcher.register(Subscription(1, P("a") == 1))
-        matcher.register(Subscription(2, P("a") >= 0))
-        events = [Event({"a": 1})]
-        assert matcher.match_batch(events) == [[1, 2]]
-        matcher.close()
-        # The pool belongs to the caller: still usable after close().
-        assert pool.submit(lambda: 42).result() == 42
-        assert matcher.match_batch(events) == [[1, 2]]
-    finally:
-        pool.shutdown(wait=True)
-
-
 def test_owned_executor_close_is_idempotent_and_recoverable():
-    matcher = ShardedMatcher(2, executor="threads")
+    matcher = ShardedMatcher(2, executor="processes")
     matcher.register(Subscription(1, P("a") == 1))
     matcher.register(Subscription(2, P("a") >= 0))
     events = [Event({"a": 1})]
     assert matcher.match_batch(events) == [[1, 2]]
     matcher.close()
     matcher.close()
-    # A fresh pool is built lazily on the next threaded batch.
+    # A fresh pool is built lazily on the next batch.
     with matcher:
         assert matcher.match_batch(events) == [[1, 2]]
 
@@ -264,17 +253,18 @@ def test_statistics_reset_only_touches_the_aggregate():
 def test_threaded_matching_is_deterministic_under_hammering(
     workload, auction_subscriptions, auction_events
 ):
-    """Many caller threads, one threaded matcher: every result identical.
+    """Many caller threads, one process-sharded matcher: every result
+    identical.
 
     The merge contract (shard-order collection + stable sort of merged
-    id lists) makes a threaded run indistinguishable from a serial one,
+    id lists) makes a pooled run indistinguishable from a serial one,
     however calls interleave; 32 concurrent ``match_batch`` calls must
     all equal the unsharded reference, and repeating the same batch must
     reproduce the same lists (seeded workload, so this is end-to-end
     reproducible).
     """
     plain = CountingMatcher()
-    with ShardedMatcher(4, executor="threads") as sharded:
+    with ShardedMatcher(4, executor="processes") as sharded:
         for subscription in auction_subscriptions:
             plain.register(subscription)
             sharded.register(subscription)
@@ -301,7 +291,7 @@ def test_threaded_churn_between_hammering_rounds(workload):
     subscriptions = workload.generate_subscriptions(60)
     events = workload.generate_events(64)
     plain = CountingMatcher()
-    with ShardedMatcher(3, executor="threads") as sharded:
+    with ShardedMatcher(3, executor="processes") as sharded:
         for subscription in subscriptions:
             plain.register(subscription)
             sharded.register(subscription)
@@ -398,6 +388,59 @@ def test_process_executor_raises_with_breaker_disabled(workload):
         # tables into fresh workers and answers correctly again.
         assert sharded.match_batch(events) == expected
         assert sharded.health_report().crashes == 1
+
+
+#: Introspection queries that reach the workers, read off any matcher.
+_INTROSPECTIONS = {
+    "entry_count": lambda matcher, event: matcher.entry_count,
+    "tree_slot_count": lambda matcher, event: matcher.tree_slot_count,
+    "negated_entry_count": lambda matcher, event: matcher.negated_entry_count,
+    "fulfilled_counts": lambda matcher, event: matcher.fulfilled_counts(event),
+}
+
+
+def _killed_while_idle(workload, **options):
+    """A two-shard process matcher whose first busy worker died between
+    requests, next to the unsharded engine over the same table."""
+    subscriptions = workload.generate_subscriptions(8)
+    events = workload.generate_events(4)
+    plain = CountingMatcher()
+    sharded = ShardedMatcher(2, executor="processes", **options)
+    for subscription in subscriptions:
+        plain.register(subscription)
+        sharded.register(subscription)
+    assert sharded.match_batch(events) == plain.match_batch(events)
+    sharded._pool.kill_worker(sharded.shard_of(subscriptions[0].id))
+    return sharded, plain, events.events[0]
+
+
+@pytest.mark.parametrize("query", sorted(_INTROSPECTIONS))
+def test_introspection_heals_a_worker_killed_while_idle(workload, query):
+    """Introspection heals a dead worker the way ``match_batch`` does:
+    the pool is rebuilt inside the call, and the answer is the
+    unsharded engine's."""
+    read = _INTROSPECTIONS[query]
+    sharded, plain, probe = _killed_while_idle(workload)
+    with sharded:
+        assert read(sharded, probe) == read(plain, probe)
+        health = sharded.health_report()
+        assert health.executor == "processes"
+        assert health.crashes == 1
+        assert health.rebuilds == 1
+
+
+@pytest.mark.parametrize("query", sorted(_INTROSPECTIONS))
+def test_introspection_raises_with_breaker_disabled(workload, query):
+    """``crash_loop_threshold=None``: a dead worker fails the
+    introspection call, and the next call heals."""
+    read = _INTROSPECTIONS[query]
+    sharded, plain, probe = _killed_while_idle(
+        workload, crash_loop_threshold=None
+    )
+    with sharded:
+        with pytest.raises(MatchingError):
+            read(sharded, probe)
+        assert read(sharded, probe) == read(plain, probe)
 
 
 def test_process_executor_leaves_no_shared_segments(workload):
