@@ -1,11 +1,11 @@
-"""Micro-benchmark of the vectorized candidate fallback (tree evaluation).
+"""Micro-benchmark of compiled-tree evaluation in the batch path.
 
 Runs the tree-heavy workload (deep OR-of-ANDs, nearly every subscription
-survives the ``pmin`` gate) through the batch matcher twice — once with
-the slot-major/dense vectorized tree evaluation, once with the scalar
-per-pair recursion it replaced — and records both the isolated fallback
-stage and the end-to-end ``match_batch`` comparison under the
-``tree_eval`` key of ``BENCH_matching.json``.
+survives the ``pmin`` gate) through ``match_batch`` — which evaluates the
+whole compiled-tree program once per chunk — and through the per-event
+``match`` loop, whose recursive ``_evaluate_compiled`` is the remaining
+scalar evaluator.  Both timings, plus the tree-evaluation stage timed in
+isolation, land under the ``tree_eval`` key of ``BENCH_matching.json``.
 
 Scale is adjustable through environment variables:
 
@@ -23,7 +23,6 @@ import pytest
 
 from conftest import _env_int, best_seconds
 from repro.events import EventBatch
-from repro.matching import batch as batch_module
 from repro.matching.batch import _BatchRun
 from repro.matching.counting import _KIND_TREE, CountingMatcher
 from repro.workloads.tree_heavy import TreeHeavyConfig, TreeHeavyWorkload
@@ -50,20 +49,12 @@ def tree_events(tree_workload):
     return tree_workload.generate_events(TREE_EVENTS).events
 
 
-@pytest.fixture(autouse=True)
-def restore_toggle():
-    original = batch_module._VECTORIZE_TREES
-    yield
-    batch_module._VECTORIZE_TREES = original
+def _tree_eval_input(matcher, events):
+    """One un-chunked pass up to the candidate test: tree evaluation's
+    input, assembled by the same ``assemble_chunk`` production uses.
 
-
-def _surviving_tree_pairs(matcher, events):
-    """One un-chunked pass up to the candidate test: the fallback's input.
-
-    Returns ``(flags, tree_rows, tree_slots)`` — exactly what
-    ``_BatchRun._resolve_tree_pairs`` receives, assembled by the same
-    ``assemble_chunk`` production uses, so the benchmark times the
-    fallback stage in isolation against the real pipeline input.
+    Returns ``(flags, tree_rows, tree_slots)``: the chunk's entry-flag
+    matrix and the surviving (row, tree-slot) pairs.
     """
     run = _BatchRun(matcher)
     columns = EventBatch(events).columns()
@@ -78,51 +69,38 @@ def _surviving_tree_pairs(matcher, events):
 def test_vectorized_fallback_matches_scalar_and_per_event(
     tree_matcher, tree_events
 ):
-    """Both fallback paths produce exactly the per-event oracle's sets."""
-    batch_module._VECTORIZE_TREES = True
-    vectorized = tree_matcher.match_batch(EventBatch(tree_events))
-    batch_module._VECTORIZE_TREES = False
-    scalar = tree_matcher.match_batch(EventBatch(tree_events))
-    batch_module._VECTORIZE_TREES = True
-    assert vectorized == scalar
-    assert vectorized == [tree_matcher.match(event) for event in tree_events]
+    """``match_batch`` produces exactly the per-event ``match`` sets."""
+    assert tree_matcher.match_batch(EventBatch(tree_events)) == [
+        tree_matcher.match(event) for event in tree_events
+    ]
 
 
 def test_tree_eval_fallback_speedup(tree_matcher, tree_events, bench_results):
-    """Scalar vs vectorized candidate fallback, isolated and end-to-end."""
-    flags, tree_rows, tree_slots = _surviving_tree_pairs(
-        tree_matcher, tree_events
-    )
+    """``match_batch`` vs the per-event ``match`` loop, end to end, plus
+    the whole-program tree evaluation timed in isolation."""
+    flags, tree_rows, tree_slots = _tree_eval_input(tree_matcher, tree_events)
     assert len(tree_rows), "workload must produce surviving tree candidates"
+    programs = tree_matcher._tree_programs
 
-    def run_fallback(vectorize):
-        batch_module._VECTORIZE_TREES = vectorize
-        run = _BatchRun(tree_matcher)
-        matched = [[] for _ in range(len(tree_events))]
-        run._resolve_tree_pairs(tree_rows, tree_slots, flags, matched)
-        return sum(len(ids) for ids in matched)
+    def run_tree_eval():
+        root_positions, values = programs.evaluate(flags)
+        return int(values[root_positions[tree_slots], tree_rows].sum())
 
-    assert run_fallback(True) == run_fallback(False)
-    vectorized_fallback_seconds, _ = best_seconds(lambda: run_fallback(True))
-    scalar_fallback_seconds, _ = best_seconds(
-        lambda: run_fallback(False), repeats=3
+    tree_eval_seconds, _ = best_seconds(run_tree_eval)
+    batch = EventBatch(tree_events)
+    batch.columns()
+    batch_match_seconds, batched = best_seconds(
+        lambda: tree_matcher.match_batch(batch)
     )
-
-    def run_match(vectorize):
-        batch_module._VECTORIZE_TREES = vectorize
-        return sum(
-            len(ids)
-            for ids in tree_matcher.match_batch(EventBatch(tree_events))
-        )
-
-    assert run_match(True) == run_match(False)
-    vectorized_match_seconds, _ = best_seconds(lambda: run_match(True))
-    scalar_match_seconds, _ = best_seconds(lambda: run_match(False), repeats=3)
-    batch_module._VECTORIZE_TREES = True
+    per_event_match_seconds, per_event = best_seconds(
+        lambda: [tree_matcher.match(event) for event in tree_events],
+        repeats=3,
+    )
+    assert batched == per_event
 
     stats = tree_matcher.statistics
     stats.reset()
-    tree_matcher.match_batch(EventBatch(tree_events))
+    tree_matcher.match_batch(batch)
     bench_results["tree_eval"] = {
         "subscriptions": TREE_SUBSCRIPTIONS,
         "events": len(tree_events),
@@ -130,25 +108,19 @@ def test_tree_eval_fallback_speedup(tree_matcher, tree_events, bench_results):
         "tree_evaluations": stats.tree_evaluations,
         "candidates": stats.candidates,
         "matches": stats.matches,
-        "scalar_fallback_seconds": scalar_fallback_seconds,
-        "vectorized_fallback_seconds": vectorized_fallback_seconds,
-        "fallback_speedup": (
-            scalar_fallback_seconds / vectorized_fallback_seconds
-            if vectorized_fallback_seconds
-            else None
-        ),
-        "scalar_match_seconds": scalar_match_seconds,
-        "vectorized_match_seconds": vectorized_match_seconds,
+        "tree_nodes": programs.node_count,
+        "tree_eval_seconds": tree_eval_seconds,
+        "per_event_match_seconds": per_event_match_seconds,
+        "batch_match_seconds": batch_match_seconds,
         "match_speedup": (
-            scalar_match_seconds / vectorized_match_seconds
-            if vectorized_match_seconds
+            per_event_match_seconds / batch_match_seconds
+            if batch_match_seconds
             else None
         ),
     }
     stats.reset()
     # Gross-regression gate only (the measured speedup itself lands in
-    # BENCH_matching.json; typically >= 3x end-to-end and far higher for
-    # the isolated fallback at bench scale).  Tiny smoke runs are exempt:
-    # vectorization overhead only amortizes across real batches.
+    # BENCH_matching.json).  Tiny smoke runs are exempt: the batch
+    # path's numpy overhead only amortizes across real batches.
     if len(tree_events) >= 128:
-        assert vectorized_fallback_seconds < scalar_fallback_seconds
+        assert batch_match_seconds < per_event_match_seconds

@@ -33,8 +33,8 @@ Subscription Pruning for Publish/Subscribe Systems* (ICDCS Workshops
 * Generated: {timestamp}
 * Scale: `{scale}` — {subscriptions} subscriptions, {events} events,
   {points} grid points (the paper used 200,000 subscriptions and 100,000
-  events on five 2 GHz / 512 MB machines over a 10 Mbps LAN; see
-  DESIGN.md §4 for why the curve *shapes* are scale-stable).
+  events on five 2 GHz / 512 MB machines over a 10 Mbps LAN; that the
+  curve *shapes* hold at paper scale is an assumption, not checked).
 * Regenerate: `python scripts/make_experiments_report.py --scale {scale}`
   or per figure `python -m repro.experiments.run --figure 1a --scale {scale}`.
 * Raw series: `results/fig1[a-f].csv`.

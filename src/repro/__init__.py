@@ -33,8 +33,8 @@ The matching engine is directly usable too:
 >>> matcher.match(Event({"category": "fiction", "price": 8.0}))
 [1]
 
-See README.md for the architecture overview and DESIGN.md for the mapping
-from paper sections to modules.
+See README.md for the overview and the layer map, and
+docs/ARCHITECTURE.md for how the layers work.
 """
 
 from repro.adaptive import (

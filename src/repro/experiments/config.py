@@ -3,9 +3,9 @@
 The paper runs 200,000 subscriptions and 100,000 events on a five-machine
 testbed.  A pure-Python in-process reproduction cannot grind that per
 measurement point in reasonable benchmark time, so the default scale is
-reduced; the reported curves are ratios and proportions whose shapes are
-scale-stable (see DESIGN.md §4).  The ``paper`` preset restores the
-original magnitudes for long offline runs.
+reduced.  The reported curves are ratios and proportions, and we assume
+their shapes hold at paper scale; that has not been checked.  The
+``paper`` preset restores the original magnitudes for long offline runs.
 """
 
 from __future__ import annotations

@@ -21,16 +21,15 @@ statistics so results are bit-identical to one unsharded engine.
 Both engines support ``match_batch`` (:mod:`repro.matching.batch`): the
 counting engine probes its indexes once per batch over the batch's
 columnar view, vectorizes the candidate test with a 2-D
-fulfilled-count matrix, and evaluates surviving general-tree candidates
-through a shared flat compiled-tree program
-(:mod:`repro.matching.treeval`) — segment reductions over the batch's
-entry-flag matrix instead of per-pair recursion; the naive engine loops
-— equal outputs are the batch path's correctness contract.  The
-counting engine's indexes and compiled-tree program are incrementally
-maintained: register/unregister/replace apply deltas to the touched
-predicate buckets and program ranges only (O(subscription), not
-O(table)), and tables self-compact when unregistration churn fragments
-them.
+fulfilled-count matrix, and — when general-tree candidates survive —
+evaluates the whole compiled-tree program (:mod:`repro.matching.treeval`)
+against the chunk's entry-flag matrix in one pass of segment
+reductions; the naive engine loops — equal outputs are the batch path's
+correctness contract.  The counting engine's indexes and compiled trees
+are incrementally maintained: register/unregister/replace touch only
+the subscription's own predicate buckets and tree (O(subscription), not
+O(table)); the tree program's evaluation layout is rebuilt lazily, and
+tables self-compact when unregistration churn fragments them.
 """
 
 from repro.matching.batch import counting_match_batch, counting_match_batch_rowwise

@@ -18,12 +18,11 @@ the index probes themselves once the batch is **columnar**.
    pairs into the 2-D fulfilled-count matrix ``counts[event, slot]``;
 3. the candidate test ``counts >= pmin`` runs as one 2-D comparison;
 4. surviving flat-shaped candidates are decided by the counter alone
-   (one vectorized kind dispatch for the whole chunk); surviving
-   general-tree candidates are grouped **slot-major** and each tree is
-   evaluated once against all of its surviving rows simultaneously via
-   the shared compiled-tree program's segment reductions
-   (:mod:`repro.matching.treeval`).  Only trees beyond the program's
-   depth/size bounds fall back to the scalar recursive evaluator.
+   (one vectorized kind dispatch for the whole chunk); when general-tree
+   candidates survive, the whole compiled-tree program
+   (:mod:`repro.matching.treeval`) is evaluated once against every row
+   of the chunk, and the verdicts of the surviving (row, tree) pairs
+   are read from its root rows.
 
 The ``chunk × entry_capacity`` flags matrix exists solely to feed tree
 evaluation; when the table holds no general trees and no negated
@@ -38,8 +37,9 @@ looping :meth:`~repro.matching.counting.CountingMatcher.match` — the
 per-event oracle.
 
 Batches are processed in bounded chunks so the 2-D scratch matrices
-(``chunk × slot_count`` counts and ``chunk × entry_capacity`` flags)
-stay cache- and memory-friendly regardless of batch length.
+(``chunk × slot_count`` counts, ``chunk × entry_capacity`` flags and
+the tree program's ``node_count × chunk`` working matrix) stay cache-
+and memory-friendly regardless of batch length.
 
 >>> from repro.events import Event, EventBatch
 >>> from repro.matching.counting import CountingMatcher
@@ -67,27 +67,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: already columnarized) event batch.
 Events = Union[Sequence[Event], EventBatch]
 
-#: Soft bound on scratch-matrix cells per chunk (counts + flags rows).
+#: Soft bound on scratch-matrix cells per chunk (counts + flags rows +
+#: tree working-matrix columns).
 _CHUNK_CELL_BUDGET = 2_000_000
 _MAX_CHUNK = 512
-
-#: When True (the default), surviving tree candidates are evaluated
-#: slot-major through the shared compiled-tree program; False restores
-#: the per-pair recursive evaluator.  Flipped by benchmarks and property
-#: tests to compare the two paths — results are identical either way.
-_VECTORIZE_TREES = True
-
-#: Dense-evaluation gate: when surviving (row, tree-slot) pairs cover at
-#: least this fraction of the full ``compiled trees × chunk rows`` grid,
-#: the whole shared program is evaluated at once (arena-global level
-#: reductions) instead of per slot — wasted verdicts are bounded by
-#: ``1/fraction`` while thousands of small numpy calls collapse into a
-#: handful of large ones.
-_DENSE_EVAL_MIN_DENSITY = 0.5
-
-#: Slot groups at or below this many surviving rows skip the vectorized
-#: evaluator: per-pair recursion is cheaper than numpy call setup there.
-_SCALAR_GROUP_MAX_ROWS = 2
 
 
 def _chunk_size(slot_count: int, entry_capacity: int) -> int:
@@ -116,12 +99,9 @@ class _BatchRun:
         self.need_flags = (
             matcher._tree_slot_count > 0 or matcher._negated_entry_count > 0
         )
-        self.vectorize_trees = _VECTORIZE_TREES
-        # A dense evaluation's working matrix adds ``node_capacity``
-        # cells per chunk row; fold it into the chunk-size budget.
-        self.tree_node_capacity = (
-            matcher._tree_programs.node_capacity if self.vectorize_trees else 0
-        )
+        # Tree evaluation's working matrix adds one cell per compiled
+        # node to each chunk row; fold it into the chunk-size budget.
+        self.tree_node_count = matcher._tree_programs.node_count
         self.matches_total = 0
         self.candidates_total = 0
         self.evaluations_total = 0
@@ -133,39 +113,36 @@ class _BatchRun:
         pos_pairs,
         neg_pairs,
     ) -> List[List[int]]:
-        """Counts → candidate test → scalar fallback for one chunk.
+        """Counts → candidate test → tree evaluation for one chunk.
 
         ``pos_pairs`` / ``neg_pairs`` are ``(rows_arrays, entry_arrays)``
         pair-list accumulators (aligned, equal-length arrays).
         """
         from repro.matching.counting import _KIND_FALSE, _KIND_TREE
 
-        slot_count = self.slot_count
         flags, counts = self.assemble_chunk(chunk_rows, pos_pairs, neg_pairs)
         self.fulfilled_total += int(counts.sum())
 
         chunk_matched: List[List[int]] = [[] for _ in range(chunk_rows)]
-        if slot_count:
-            slot_ids = self.matcher._slot_ids
+        if self.slot_count:
             cand_rows, cand_slots = np.nonzero(counts >= self.pmin[np.newaxis, :])
             self.candidates_total += len(cand_rows)
             cand_kinds = self.kinds[cand_slots]
             # Flat shapes (TRUE, SINGLE, FLAT_AND, FLAT_OR): reaching
-            # pmin decides — one vectorized dispatch for the chunk.
-            flat_accept = (cand_kinds != _KIND_FALSE) & (cand_kinds != _KIND_TREE)
+            # pmin decides.  Tree candidates take their tree's verdict.
+            accept = cand_kinds != _KIND_FALSE
+            tree_pairs = np.flatnonzero(cand_kinds == _KIND_TREE)
+            if len(tree_pairs):
+                self.evaluations_total += len(tree_pairs)
+                root_positions, values = self.matcher._tree_programs.evaluate(flags)
+                accept[tree_pairs] = values[
+                    root_positions[cand_slots[tree_pairs]], cand_rows[tree_pairs]
+                ]
             for row, sub_id in zip(
-                cand_rows[flat_accept].tolist(),
-                slot_ids[cand_slots[flat_accept]].tolist(),
+                cand_rows[accept].tolist(),
+                self.matcher._slot_ids[cand_slots[accept]].tolist(),
             ):
                 chunk_matched[row].append(sub_id)
-            tree_mask = cand_kinds == _KIND_TREE
-            if tree_mask.any():
-                self._resolve_tree_pairs(
-                    cand_rows[tree_mask],
-                    cand_slots[tree_mask],
-                    flags,
-                    chunk_matched,
-                )
         for matched in chunk_matched:
             matched.sort()
             self.matches_total += len(matched)
@@ -185,7 +162,7 @@ class _BatchRun:
         bincounts them into the ``chunk × slot_count`` matrix the
         candidate test compares against ``pmin``.  Shared by
         :meth:`resolve_chunk` and the tree-eval micro-benchmark, which
-        must feed the fallback stage exactly what production does.
+        must feed tree evaluation exactly what production does.
         """
         slot_count = self.slot_count
         flags = (
@@ -213,85 +190,6 @@ class _BatchRun:
                 minlength=chunk_rows * slot_count,
             ).reshape(chunk_rows, slot_count)
         return flags, counts
-
-    def _resolve_tree_pairs(
-        self,
-        tree_rows: np.ndarray,
-        tree_slots: np.ndarray,
-        flags: np.ndarray,
-        chunk_matched: List[List[int]],
-    ) -> None:
-        """Evaluate the surviving (event, tree-candidate) pairs.
-
-        The vectorized path regroups the pairs **slot-major** and runs
-        each compiled tree once against all of its surviving rows via
-        :meth:`~repro.matching.treeval.TreePrograms.evaluate`; slots the
-        program refused (depth/size bounds) — or every pair, when
-        ``_VECTORIZE_TREES`` is off — recurse through the scalar
-        evaluator.  ``tree_evaluations`` counts pairs either way.
-        """
-        from repro.matching.counting import _evaluate_compiled
-
-        matcher = self.matcher
-        slot_ids = matcher._slot_ids
-        self.evaluations_total += len(tree_rows)
-        if not self.vectorize_trees:
-            slots = matcher._slots
-            for row, slot in zip(tree_rows.tolist(), tree_slots.tolist()):
-                if _evaluate_compiled(slots[slot].program, flags[row]):
-                    chunk_matched[row].append(int(slot_ids[slot]))
-            return
-        programs = matcher._tree_programs
-        chunk_rows = flags.shape[0]
-        if (
-            len(programs)
-            and len(tree_rows)
-            >= _DENSE_EVAL_MIN_DENSITY * len(programs) * chunk_rows
-        ):
-            # Dense tier: evaluate the whole shared program at once and
-            # pick the surviving pairs' verdicts out of the root rows.
-            root_positions, values = programs.evaluate_dense(flags)
-            in_range = tree_slots < len(root_positions)
-            positions = np.where(
-                in_range,
-                root_positions[np.minimum(tree_slots, len(root_positions) - 1)],
-                -1,
-            )
-            compiled = positions >= 0
-            hit = np.zeros(len(tree_rows), dtype=bool)
-            hit[compiled] = values[positions[compiled], tree_rows[compiled]]
-            for row, sub_id in zip(
-                tree_rows[hit].tolist(), slot_ids[tree_slots[hit]].tolist()
-            ):
-                chunk_matched[row].append(sub_id)
-            if compiled.all():
-                return
-            tree_rows = tree_rows[~compiled]
-            tree_slots = tree_slots[~compiled]
-        # Slot-major tier: group surviving rows by slot, one vectorized
-        # evaluation per tree; tiny groups and bound-exceeding trees
-        # recurse through the scalar oracle instead.
-        order = np.argsort(tree_slots, kind="stable")
-        sorted_slots = tree_slots[order]
-        sorted_rows = tree_rows[order]
-        starts = np.nonzero(np.r_[True, np.diff(sorted_slots) != 0])[0]
-        stops = np.append(starts[1:], len(sorted_slots))
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            slot = int(sorted_slots[start])
-            rows_group = sorted_rows[start:stop]
-            if len(rows_group) > _SCALAR_GROUP_MAX_ROWS and programs.has(slot):
-                verdict = programs.evaluate(slot, rows_group, flags)
-                hit_rows = rows_group[verdict].tolist()
-            else:
-                program = matcher._slots[slot].program
-                hit_rows = [
-                    row
-                    for row in rows_group.tolist()
-                    if _evaluate_compiled(program, flags[row])
-                ]
-            sub_id = int(slot_ids[slot])
-            for row in hit_rows:
-                chunk_matched[row].append(sub_id)
 
     def finish(self, event_count: int, started: float) -> None:
         stats = self.matcher.statistics
@@ -321,7 +219,7 @@ def counting_match_batch(
     columns = batch.columns()
     results: List[List[int]] = []
     chunk_size = _chunk_size(
-        run.slot_count, run.entry_capacity + run.tree_node_capacity
+        run.slot_count, run.entry_capacity + run.tree_node_count
     )
     for chunk_start in range(0, count, chunk_size):
         chunk_stop = min(count, chunk_start + chunk_size)
@@ -354,7 +252,7 @@ def counting_match_batch_rowwise(
     run = _BatchRun(matcher)
     results: List[List[int]] = []
     chunk_size = _chunk_size(
-        run.slot_count, run.entry_capacity + run.tree_node_capacity
+        run.slot_count, run.entry_capacity + run.tree_node_count
     )
     for chunk_start in range(0, len(event_list), chunk_size):
         chunk = event_list[chunk_start:chunk_start + chunk_size]

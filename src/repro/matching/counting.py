@@ -31,11 +31,11 @@ events go through :meth:`CountingMatcher.match_batch`
 (:mod:`repro.matching.batch`), which probes the indexes once per batch
 over the batch's columnar view and evaluates the candidate test for the
 whole batch with one 2-D bincount instead of per-event 1-D passes.
-General trees are additionally compiled into a shared flat program
-(:mod:`repro.matching.treeval`, maintained under the same incremental
-churn) so the batch path can evaluate each surviving tree against all
-of its candidate events at once; the recursive ``_evaluate_compiled``
-survives as the per-event path and the vectorized path's oracle.
+General trees are additionally compiled into flat per-tree arrays
+(:mod:`repro.matching.treeval`, updated by the same incremental churn)
+from which the batch path evaluates every tree against every event of
+a chunk at once; the recursive ``_evaluate_compiled`` is the per-event
+path's evaluator and the batch path's test oracle.
 """
 
 from __future__ import annotations
@@ -184,8 +184,8 @@ class CountingMatcher(Matcher):
         self._pmin: np.ndarray = np.empty(0, dtype=np.int64)
         self._kinds: np.ndarray = np.empty(0, dtype=np.int8)
         self._entry_slot: np.ndarray = np.empty(0, dtype=np.int64)
-        #: Shared flat compiled-tree program of every _KIND_TREE slot
-        #: (see :mod:`repro.matching.treeval`), maintained incrementally.
+        #: Compiled flat tree of every _KIND_TREE slot (see
+        #: :mod:`repro.matching.treeval`), maintained incrementally.
         self._tree_programs = TreePrograms()
         self._tree_slot_count = 0
         self._negated_entry_count = 0
@@ -241,7 +241,6 @@ class CountingMatcher(Matcher):
         self._kinds[slot] = kind
         if kind == _KIND_TREE:
             self._tree_slot_count += 1
-            # Oversized trees are refused and keep the scalar evaluator.
             self._tree_programs.compile(slot, program)
         self._negated_entry_count += sum(
             1 for predicate in leaf_predicates if predicate.operator.is_negated

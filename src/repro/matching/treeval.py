@@ -1,58 +1,42 @@
-"""Columnar compiled-tree evaluation: the shared flat tree program.
+"""Columnar compiled-tree evaluation: the whole-table flat tree program.
 
 The counting engine decides most candidates with the fulfilled-predicate
 counter alone; only *general* Boolean trees need evaluating against the
-per-entry truth flags.  Per event that is cheap, but in the batch path it
-used to be the last scalar hot spot: every surviving (event, candidate)
-pair recursed through ``_evaluate_compiled`` in Python.
+per-entry truth flags.  Per event the recursive ``_evaluate_compiled``
+does that; in the batch path :class:`TreePrograms` evaluates **every**
+compiled tree against **every** row of a chunk in a fixed handful of
+numpy calls, and the caller reads the verdicts of the (row, tree)
+pairs it needs from the root rows.
 
-:class:`TreePrograms` removes that per-pair recursion.  All general trees
-of a matcher are compiled into one **shared flat program**: each tree
-owns a contiguous *node range* in a shared arena (positions are the rows
-of the evaluation working matrix; the arena column stores each leaf's
-entry id), plus a bottom-up *level order* computed once per tree at
-register/replace time — per level, one AND and one OR segment-reduction
-group ``(targets, seg_starts, children)`` in tree-local node ids, which
-is the tree's child structure laid out level-major, ready to execute.
-At match time the batch path groups surviving candidate rows by slot and
-evaluates each tree **once against all of its rows simultaneously**:
+Each tree, once compiled, keeps only its own flat preorder arrays:
+opcode, height (leaves are 0, an internal node sits one above its
+tallest child), leaf entry id and child CSR.  The evaluation layout is
+derived from them lazily, after any mutation, by concatenating every
+tree's arrays and sorting all nodes by ``(height, opcode)``.  That sort
+assigns the *positions* — the rows of the evaluation working matrix:
 
-1. leaf truth values are gathered from the chunk's 2-D
-   ``flags[event, entry]`` matrix with one fancy-indexing read per tree
-   (``node_count × rows`` working matrix);
-2. internal nodes are computed level by level (children always live in
-   strictly lower levels), each level as at most two segment reductions:
-   ``np.logical_and.reduceat`` over the concatenated AND children and
-   ``np.logical_or.reduceat`` over the concatenated OR children;
-3. the root row is the per-row verdict for the whole group.
+1. all leaves come first, so one gather from the chunk's 2-D
+   ``flags[event, entry]`` matrix fills them;
+2. every internal node of one ``(height, opcode)`` group occupies one
+   contiguous slice, and its children sit in strictly lower heights, so
+   each group is one ``np.logical_and.reduceat`` or
+   ``np.logical_or.reduceat`` over its gathered children, written
+   straight into its slice;
+3. the root row of a tree is its per-row verdict.
 
-:meth:`TreePrograms.evaluate_dense` additionally concatenates every
-tree's level groups into **arena-global** ones (derived lazily, dropped
-on any mutation) so a whole table evaluates in a handful of numpy calls
-— the batch path switches to it when surviving candidates are dense.
-
-The program is **incrementally maintained** under subscription churn:
-compiling a tree appends (or recycles) one contiguous node range;
-withdrawing returns the range to a per-length free list.  All intra-tree
-references are *tree-local*, so a recycled or re-packed range needs no
-pointer rewriting.  When unregister churn leaves the arena dominated by
-holes, the program lazily re-materializes itself into dense arrays (the
-same policy :class:`~repro.matching.predicate_index.PredicateIndexSet`
-buckets use).
-
-Trees beyond :data:`MAX_TREE_DEPTH` levels or :data:`MAX_TREE_NODES`
-nodes are refused (``compile`` returns ``False``) and the caller falls
-back to the scalar recursive evaluator, which remains the correctness
-oracle the vectorized path is property-tested against.
+There is no shared arena to maintain under churn: ``compile`` and
+``discard`` touch only the slot's own arrays, and the next evaluation
+rebuilds the layout with numpy calls whose number does not grow with
+the tree count.
 
 >>> import numpy as np
 >>> programs = TreePrograms()
 >>> # (a AND b) OR c over entry ids 0, 1, 2:
 >>> tree = (OP_OR, ((OP_AND, ((OP_LEAF, 0), (OP_LEAF, 1))), (OP_LEAF, 2)))
 >>> programs.compile(slot=4, program=tree)
-True
 >>> flags = np.array([[True, True, False], [False, True, False]])
->>> programs.evaluate(4, np.array([0, 1]), flags).tolist()
+>>> root_positions, values = programs.evaluate(flags)
+>>> values[root_positions[4]].tolist()
 [True, False]
 """
 
@@ -70,408 +54,194 @@ OP_LEAF = 0
 OP_AND = 1
 OP_OR = 2
 
-#: Auto-fallback bounds: a tree deeper or larger than this is not
-#: compiled into the shared program and keeps the scalar evaluator.
-MAX_TREE_DEPTH = 64
-MAX_TREE_NODES = 4096
+#: Rows of a compiled tree's ``nodes`` array (one column per node, in
+#: preorder).
+_OPCODE, _HEIGHT, _ENTRY, _CHILD_COUNT = range(4)
 
-#: Lazy re-materialization policy: compact the arena when free cells
-#: exceed this fraction of the live cells *and* the absolute waste
-#: clears the floor (small programs never thrash).
-_COMPACT_FREE_FRACTION = 0.5
-_COMPACT_MIN_FREE = 1024
+_REDUCERS = {OP_AND: np.logical_and.reduceat, OP_OR: np.logical_or.reduceat}
 
 
-class _DenseProgram:
-    """Arena-global evaluation order over *all* compiled trees at once.
+def _flatten(program: Tuple) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten nested opcode tuples into one tree's preorder arrays.
 
-    Derived lazily from the live records (and dropped on any mutation,
-    the same lazy re-materialization the predicate-index buckets use):
-    per bottom-up level, one AND and one OR segment-reduction group
-    whose targets/children are **arena positions** spanning every tree.
-    Evaluating the whole program against a chunk is then a handful of
-    numpy calls regardless of how many trees it holds.
-    """
-
-    __slots__ = ("leaf_positions", "leaf_entries", "levels", "root_positions")
-
-    def __init__(
-        self,
-        leaf_positions: np.ndarray,
-        leaf_entries: np.ndarray,
-        levels: Tuple,
-        root_positions: np.ndarray,
-    ) -> None:
-        self.leaf_positions = leaf_positions
-        self.leaf_entries = leaf_entries
-        self.levels = levels
-        self.root_positions = root_positions
-
-
-class _TreeRecord:
-    """Placement and evaluation order of one compiled tree.
-
-    ``base`` locates the tree's contiguous node range inside the shared
-    arena; everything else is expressed in **tree-local** node ids so the
-    record survives range relocation unchanged.
-    """
-
-    __slots__ = ("base", "node_count", "leaf_locals", "levels", "depth")
-
-    def __init__(
-        self,
-        base: int,
-        node_count: int,
-        leaf_locals: np.ndarray,
-        levels: Tuple,
-        depth: int,
-    ) -> None:
-        self.base = base
-        self.node_count = node_count
-        self.leaf_locals = leaf_locals
-        self.levels = levels
-        self.depth = depth
-
-
-def _flatten(program: Tuple) -> Tuple[List[int], List[int], List[List[int]]]:
-    """Flatten nested opcode tuples into preorder parallel lists.
-
-    Returns ``(ops, entries, children)`` where ``children[i]`` holds the
-    local ids of node ``i``'s children (empty for leaves).  Preorder
-    guarantees every descendant has a higher local id than its ancestor,
-    which is what makes the reverse scan in :func:`_levels` bottom-up.
+    Returns ``(nodes, children)``: ``nodes`` is ``4 × node_count`` —
+    opcode, height, leaf entry id (-1 at internal nodes) and child count
+    per node — and ``children`` lists each internal node's children
+    (tree-local preorder ids), node after node: the child CSR.
     """
     ops: List[int] = []
     entries: List[int] = []
-    children: List[List[int]] = []
+    kids: List[List[int]] = []
     stack: List[Tuple[Tuple, int]] = [(program, -1)]
     while stack:
         node, parent = stack.pop()
         opcode, operand = node
         local = len(ops)
         ops.append(opcode)
-        children.append([])
+        kids.append([])
         if parent >= 0:
-            children[parent].append(local)
+            kids[parent].append(local)
         if opcode == OP_LEAF:
             entries.append(operand)
-        elif opcode in (OP_AND, OP_OR):
+        elif opcode in (OP_AND, OP_OR) and operand:
             entries.append(-1)
             for child in reversed(operand):
                 stack.append((child, local))
         else:
-            raise MatchingError("unknown compiled opcode %r" % (opcode,))
-    return ops, entries, children
-
-
-def _levels(ops: List[int], children: List[List[int]]) -> Tuple[List[int], int]:
-    """Bottom-up level of every node (leaves are level 0)."""
-    level = [0] * len(ops)
+            raise MatchingError("invalid compiled node %r" % (node,))
+    # Preorder puts descendants after their ancestors, so a reverse scan
+    # sees every child's height before its parent's.
+    heights = [0] * len(ops)
     for local in range(len(ops) - 1, -1, -1):
-        kids = children[local]
-        if kids:
-            level[local] = 1 + max(level[kid] for kid in kids)
-    return level, level[0] if ops else 0
+        if kids[local]:
+            heights[local] = 1 + max(heights[kid] for kid in kids[local])
+    nodes = np.array(
+        [ops, heights, entries, [len(node_kids) for node_kids in kids]],
+        dtype=np.int64,
+    )
+    children = np.array(
+        [kid for node_kids in kids for kid in node_kids], dtype=np.int64
+    )
+    return nodes, children
 
 
-def _level_groups(
-    ops: List[int], children: List[List[int]], level: List[int], depth: int
-) -> Tuple:
-    """Per level, the two segment-reduction groups (AND and OR).
+class _Layout:
+    """Evaluation order of every compiled tree, positions assigned.
 
-    Each group is ``(targets, seg_starts, child_locals)``: evaluating a
-    level means gathering ``values[child_locals]`` and reducing the
-    segments that start at ``seg_starts`` into ``values[targets]``.
+    Positions ``[0, leaf_count)`` are the leaves (``leaf_entries`` holds
+    their flag columns); each entry of ``groups`` is ``(start, stop,
+    reduce, children, seg_starts)``: positions ``[start, stop)`` are
+    computed as ``reduce(values[children], seg_starts)``.
+    ``root_positions[slot]`` is the root row of ``slot``'s tree, ``-1``
+    for slots without one.
     """
-    groups: List[Tuple] = []
-    for current in range(1, depth + 1):
-        per_op: List[Tuple] = []
-        for opcode in (OP_AND, OP_OR):
-            targets = [
-                local
-                for local in range(len(ops))
-                if level[local] == current and ops[local] == opcode
-            ]
-            starts: List[int] = []
-            child_locals: List[int] = []
-            for target in targets:
-                starts.append(len(child_locals))
-                child_locals.extend(children[target])
-            per_op.append(
-                (
-                    np.array(targets, dtype=np.int64),
-                    np.array(starts, dtype=np.int64),
-                    np.array(child_locals, dtype=np.int64),
-                )
-            )
-        groups.append((per_op[0], per_op[1]))
-    return tuple(groups)
 
-
-class TreePrograms:
-    """The shared flat compiled-tree program of one counting engine.
-
-    Keyed by the engine's *slot* ids: at most one tree per slot, with
-    the same lifetime as the slot's subscription (``replace`` withdraws
-    and re-compiles).  See the module docstring for representation and
-    evaluation; see :meth:`compile` / :meth:`discard` for maintenance.
-    """
+    __slots__ = ("node_count", "leaf_entries", "groups", "root_positions")
 
     def __init__(
         self,
-        max_depth: Optional[int] = None,
-        max_nodes: Optional[int] = None,
+        node_count: int,
+        leaf_entries: np.ndarray,
+        groups: Tuple,
+        root_positions: np.ndarray,
     ) -> None:
-        self.max_depth = MAX_TREE_DEPTH if max_depth is None else max_depth
-        self.max_nodes = MAX_TREE_NODES if max_nodes is None else max_nodes
-        #: The node arena: each leaf position holds its predicate entry
-        #: id (-1 at internal nodes); positions are the rows of the
-        #: evaluation working matrices.
-        self.node_entry = np.empty(0, dtype=np.int64)
-        self._node_top = 0
-        #: Exact-fit free list: range length -> list of range bases.
-        self._free_nodes: Dict[int, List[int]] = {}
-        self._free_node_total = 0
-        self._records: Dict[int, _TreeRecord] = {}
-        #: Arena-global evaluation order, rebuilt lazily after mutations.
-        self._dense: Optional[_DenseProgram] = None
+        self.node_count = node_count
+        self.leaf_entries = leaf_entries
+        self.groups = groups
+        self.root_positions = root_positions
 
-    # -- introspection --------------------------------------------------------
+
+class TreePrograms:
+    """Every compiled general tree of one counting engine.
+
+    Keyed by the engine's *slot* ids: at most one tree per slot, with
+    the same lifetime as the slot's subscription (``replace`` withdraws
+    and re-compiles).  See the module docstring for the layout and the
+    evaluation.
+    """
+
+    def __init__(self) -> None:
+        #: slot -> ``(nodes, children)`` preorder arrays (see _flatten).
+        self._trees: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._node_count = 0
+        #: Whole-table layout, rebuilt lazily after any mutation.
+        self._layout: Optional[_Layout] = None
 
     def __len__(self) -> int:
-        return len(self._records)
-
-    def has(self, slot: int) -> bool:
-        """True when ``slot`` holds a compiled (vectorizable) tree."""
-        return slot in self._records
+        return len(self._trees)
 
     @property
-    def live_node_count(self) -> int:
-        """Arena cells referenced by live trees."""
-        return sum(record.node_count for record in self._records.values())
+    def node_count(self) -> int:
+        """Nodes of all compiled trees: the row count of the evaluation
+        working matrix."""
+        return self._node_count
 
-    @property
-    def free_node_count(self) -> int:
-        """Arena cells parked on the free list awaiting reuse."""
-        return self._free_node_total
-
-    @property
-    def node_capacity(self) -> int:
-        """Size of the node arena (live cells + free-list holes); the
-        row count of a dense evaluation's working matrix."""
-        return self._node_top
-
-    # -- maintenance ----------------------------------------------------------
-
-    def compile(self, slot: int, program: Tuple) -> bool:
-        """Compile ``program`` (nested opcode tuples) into the shared
-        program under ``slot``.
-
-        Returns ``False`` — and stores nothing — when the tree exceeds
-        the depth/size bounds; the caller keeps the scalar evaluator for
-        that slot.
-        """
-        if slot in self._records:
+    def compile(self, slot: int, program: Tuple) -> None:
+        """Compile ``program`` (nested opcode tuples) under ``slot``."""
+        if slot in self._trees:
             raise MatchingError("slot %d already holds a compiled tree" % slot)
-        ops, entries, children = _flatten(program)
-        node_count = len(ops)
-        if node_count > self.max_nodes:
-            return False
-        level, depth = _levels(ops, children)
-        if depth > self.max_depth:
-            return False
-
-        base = self._allocate(node_count)
-        self.node_entry[base : base + node_count] = entries
-        leaf_locals = np.array(
-            [local for local in range(node_count) if ops[local] == OP_LEAF],
-            dtype=np.int64,
-        )
-        self._records[slot] = _TreeRecord(
-            base,
-            node_count,
-            leaf_locals,
-            _level_groups(ops, children, level, depth),
-            depth,
-        )
-        self._dense = None
-        return True
+        nodes, children = _flatten(program)
+        self._trees[slot] = (nodes, children)
+        self._node_count += nodes.shape[1]
+        self._layout = None
 
     def discard(self, slot: int) -> None:
-        """Withdraw ``slot``'s tree (no-op when it was never compiled).
+        """Withdraw ``slot``'s tree (no-op when it holds none)."""
+        tree = self._trees.pop(slot, None)
+        if tree is not None:
+            self._node_count -= tree[0].shape[1]
+            self._layout = None
 
-        The freed node range goes to the exact-fit free list; when holes
-        dominate the arena the program re-materializes densely.
+    def evaluate(self, flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Evaluate every compiled tree against every row of ``flags``.
+
+        ``flags`` is the chunk's ``flags[event, entry]`` matrix.  Returns
+        ``(root_positions, values)``: ``values[root_positions[slot], row]``
+        is the verdict of ``slot``'s tree for ``row``; ``root_positions``
+        is ``-1`` at slots without a tree.  One leaf gather plus one
+        segment reduction per ``(height, opcode)`` group.
         """
-        record = self._records.pop(slot, None)
-        if record is None:
-            return
-        self._dense = None
-        if record.node_count:
-            self._free_nodes.setdefault(record.node_count, []).append(record.base)
-            self._free_node_total += record.node_count
-        self._maybe_rematerialize()
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = self._build()
+        values = np.empty((layout.node_count, flags.shape[0]), dtype=bool)
+        leaf_count = len(layout.leaf_entries)
+        values[:leaf_count] = flags[:, layout.leaf_entries].T
+        for start, stop, reduce, children, seg_starts in layout.groups:
+            values[start:stop] = reduce(values[children], seg_starts, axis=0)
+        return layout.root_positions, values
 
-    def _allocate(self, length: int) -> int:
-        """A node range of exactly ``length`` cells: recycled when the
-        free list holds one, appended (arena grown) otherwise."""
-        bucket = self._free_nodes.get(length)
-        if bucket:
-            base = bucket.pop()
-            if not bucket:
-                del self._free_nodes[length]
-            self._free_node_total -= length
-            return base
-        base = self._node_top
-        self._node_top += length
-        if self._node_top > len(self.node_entry):
-            capacity = max(64, len(self.node_entry) * 2, self._node_top)
-            grown = np.full(capacity, -1, dtype=np.int64)
-            grown[: len(self.node_entry)] = self.node_entry
-            self.node_entry = grown
-        return base
+    def _build(self) -> _Layout:
+        """Concatenate every tree and assign positions by (height, opcode)."""
+        if not self._trees:
+            empty = np.empty(0, dtype=np.int64)
+            return _Layout(0, empty, (), empty)
+        slots = np.fromiter(self._trees, dtype=np.int64, count=len(self._trees))
+        trees = list(self._trees.values())
+        nodes = np.concatenate([tree[0] for tree in trees], axis=1)
+        sizes = np.array([tree[0].shape[1] for tree in trees], dtype=np.int64)
+        bases = np.cumsum(sizes) - sizes
+        # Child CSR over the concatenation, with global preorder ids.
+        children = np.concatenate([tree[1] for tree in trees])
+        children += np.repeat(bases, [len(tree[1]) for tree in trees])
+        child_counts = nodes[_CHILD_COUNT]
+        child_offsets = np.cumsum(child_counts) - child_counts
 
-    def _maybe_rematerialize(self) -> None:
-        if self._free_node_total < _COMPACT_MIN_FREE:
-            return
-        if self._free_node_total > max(1, self.live_node_count) * (
-            _COMPACT_FREE_FRACTION
-        ):
-            self._rematerialize()
+        # Positions: sorted by (height, opcode); leaves (0, OP_LEAF) first.
+        keys = nodes[_HEIGHT] * 3 + nodes[_OPCODE]
+        order = np.argsort(keys, kind="stable")
+        position = np.empty(len(order), dtype=np.int64)
+        position[order] = np.arange(len(order))
+        sorted_keys = keys[order]
+        # Every tree has a leaf, so the first group is the leaves.
+        bounds = np.concatenate(
+            ([0], np.flatnonzero(np.diff(sorted_keys)) + 1, [len(order)])
+        ).tolist()
+        leaf_count = bounds[1]
 
-    def _rematerialize(self) -> None:
-        """Re-pack the arena densely, slot order, dropping all holes.
+        # Children gathered in target (position) order, as positions;
+        # target i's children are child_positions[offsets[i]:offsets[i+1]].
+        counts = child_counts[order]
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        gather = np.repeat(child_offsets[order] - offsets[:-1], counts)
+        gather += np.arange(len(gather))
+        child_positions = position[children[gather]]
 
-        Records only store their arena *base* plus tree-local data, so
-        moving a tree is one slice copy and one base update.
-        """
-        node_top = sum(record.node_count for record in self._records.values())
-        node_entry = np.empty(node_top, dtype=np.int64)
-        cursor = 0
-        for slot in sorted(self._records):
-            record = self._records[slot]
-            stop = cursor + record.node_count
-            node_entry[cursor:stop] = self.node_entry[
-                record.base : record.base + record.node_count
-            ]
-            record.base = cursor
-            cursor = stop
-        self.node_entry = node_entry
-        self._node_top = node_top
-        self._free_nodes = {}
-        self._free_node_total = 0
-        self._dense = None
-
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, slot: int, rows: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        """Evaluate ``slot``'s tree for every listed row at once.
-
-        ``rows`` indexes the chunk's ``flags[event, entry]`` matrix;
-        returns one boolean verdict per row.  Level by level, bottom-up:
-        one ``logical_and.reduceat`` over the concatenated AND children
-        and one ``logical_or.reduceat`` over the OR children per level.
-        """
-        record = self._records[slot]
-        leaf_entries = self.node_entry[record.base + record.leaf_locals]
-        values = np.empty((record.node_count, len(rows)), dtype=bool)
-        values[record.leaf_locals] = flags[rows[:, np.newaxis], leaf_entries].T
-        for and_group, or_group in record.levels:
-            targets, starts, child_locals = and_group
-            if len(targets):
-                values[targets] = np.logical_and.reduceat(
-                    values[child_locals], starts, axis=0
-                )
-            targets, starts, child_locals = or_group
-            if len(targets):
-                values[targets] = np.logical_or.reduceat(
-                    values[child_locals], starts, axis=0
-                )
-        return values[0]
-
-    def evaluate_dense(self, flags: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate **every** compiled tree against every row of ``flags``.
-
-        Returns ``(root_positions, values)``: ``root_positions[slot]`` is
-        the arena position of ``slot``'s root (``-1`` for slots without a
-        compiled tree, including slots past the array's end), and
-        ``values[root_positions[slot], row]`` is the verdict of that
-        slot's tree for ``row``.  One leaf gather plus two segment
-        reductions per level — a handful of numpy calls for the whole
-        table, regardless of tree count.  Worth it when most trees are
-        candidates for most rows of the chunk; the caller gates on pair
-        density and masks out the pairs it did not ask for.
-        """
-        dense = self._dense
-        if dense is None:
-            dense = self._dense = self._build_dense()
-        values = np.empty((self._node_top, flags.shape[0]), dtype=bool)
-        if len(dense.leaf_positions):
-            values[dense.leaf_positions] = flags[:, dense.leaf_entries].T
-        for and_group, or_group in dense.levels:
-            targets, starts, positions = and_group
-            if len(targets):
-                values[targets] = np.logical_and.reduceat(
-                    values[positions], starts, axis=0
-                )
-            targets, starts, positions = or_group
-            if len(targets):
-                values[targets] = np.logical_or.reduceat(
-                    values[positions], starts, axis=0
-                )
-        return dense.root_positions, values
-
-    def _build_dense(self) -> _DenseProgram:
-        """Concatenate every record's level groups into arena-global ones."""
-        leaf_positions: List[np.ndarray] = []
-        max_depth = 0
-        max_slot = -1
-        for slot, record in self._records.items():
-            leaf_positions.append(record.base + record.leaf_locals)
-            max_depth = max(max_depth, record.depth)
-            max_slot = max(max_slot, slot)
-        root_positions = np.full(max_slot + 1, -1, dtype=np.int64)
-        for slot, record in self._records.items():
-            root_positions[slot] = record.base
-        levels: List[Tuple] = []
-        for level_index in range(max_depth):
-            per_op: List[Tuple] = []
-            for op_index in (0, 1):
-                targets: List[np.ndarray] = []
-                starts: List[np.ndarray] = []
-                positions: List[np.ndarray] = []
-                offset = 0
-                for record in self._records.values():
-                    if level_index >= len(record.levels):
-                        continue
-                    group_targets, group_starts, group_children = (
-                        record.levels[level_index][op_index]
-                    )
-                    if not len(group_targets):
-                        continue
-                    targets.append(record.base + group_targets)
-                    starts.append(group_starts + offset)
-                    positions.append(record.base + group_children)
-                    offset += len(group_children)
-                per_op.append(
-                    (
-                        _concat(targets),
-                        _concat(starts),
-                        _concat(positions),
-                    )
-                )
-            levels.append((per_op[0], per_op[1]))
-        all_leaves = _concat(leaf_positions)
-        return _DenseProgram(
-            all_leaves,
-            self.node_entry[all_leaves],
-            tuple(levels),
+        groups = []
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            low, high = int(offsets[start]), int(offsets[stop])
+            groups.append((
+                start,
+                stop,
+                _REDUCERS[int(sorted_keys[start]) % 3],
+                child_positions[low:high],
+                offsets[start:stop] - low,
+            ))
+        root_positions = np.full(int(slots.max()) + 1, -1, dtype=np.int64)
+        root_positions[slots] = position[bases]
+        return _Layout(
+            len(order),
+            nodes[_ENTRY][order[:leaf_count]],
+            tuple(groups),
             root_positions,
         )
-
-
-def _concat(arrays: List[np.ndarray]) -> np.ndarray:
-    """Concatenate int64 arrays (empty-safe)."""
-    if not arrays:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(arrays)

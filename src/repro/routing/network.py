@@ -4,7 +4,7 @@ Subscription forwarding and event routing run synchronously over the
 acyclic topology: propagation is a tree walk, so every message is counted
 exactly once per traversed link.  This replaces the paper's five-machine
 testbed; message *counts* are exact, transmission *time* is modelled by
-:class:`~repro.routing.metrics.CostModel` (see DESIGN.md §4).
+:class:`~repro.routing.metrics.CostModel`.
 """
 
 from __future__ import annotations

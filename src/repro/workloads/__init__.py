@@ -4,11 +4,11 @@ The paper evaluates on an online-auction application: events follow the
 characteristic distributions of online book auctions (its ref [3]) and
 subscriptions conform to "three classes typical for online book auctions"
 (its ref [4]).  Both references are departmental tech reports we do not
-have, so this package synthesizes a faithful equivalent (documented in
-DESIGN.md §4): skewed (Zipf) categorical attributes, piecewise-linear
-numeric distributions sampled by inverse CDF (so the analytic selectivity
-statistics are *exact*), and three parameterized subscription classes —
-specific-item, category-interest, and collector subscriptions.
+have, so this package synthesizes an equivalent: skewed (Zipf)
+categorical attributes, piecewise-linear numeric distributions sampled
+by inverse CDF (so the analytic selectivity statistics are *exact*), and
+three parameterized subscription classes — specific-item,
+category-interest, and collector subscriptions.
 
 :mod:`repro.workloads.tree_heavy` complements the auction scenario with
 a synthetic worst case for the counting engine's candidate fallback:

@@ -1,4 +1,5 @@
-"""Documentation health: required docs exist, intra-repo links resolve.
+"""Documentation health: required docs exist, intra-repo links resolve,
+and every markdown file cited in ``src/`` or ``scripts/`` exists.
 
 The same link check runs in the CI ``docs`` job via
 ``scripts/check_doc_links.py``; running it in the unit suite keeps the
@@ -51,6 +52,24 @@ def test_checker_detects_broken_links(tmp_path):
     )
     broken = checker.broken_links(doc)
     assert [target for target, _reason in broken] == ["nope/missing.md"]
+
+
+def test_checker_fails_on_a_missing_doc_citation(tmp_path):
+    checker = _load_checker()
+    (tmp_path / "README.md").write_text("# Project\n", encoding="utf-8")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("# A\n", encoding="utf-8")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    module = package / "mod.py"
+    module.write_text(
+        '"""See README.md, docs/ARCHITECTURE.md and DESIGN.md §4."""\n',
+        encoding="utf-8",
+    )
+    assert checker.missing_citations(module, tmp_path) == ["DESIGN.md"]
+    assert checker.main(tmp_path) == 1
+    module.write_text('"""See docs/ARCHITECTURE.md."""\n', encoding="utf-8")
+    assert checker.main(tmp_path) == 0
 
 
 def test_checker_cli_passes_on_repo():

@@ -186,35 +186,22 @@ def _statistics_tuple(matcher):
 @given(churn_ops(), st.lists(strategies.events(), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_vectorized_tree_fallback_equals_scalar_under_churn(ops, events):
-    """Vectorized tree evaluation ≡ scalar ``_evaluate_compiled`` ≡ the
-    per-event oracle, with bit-identical statistics.
+    """Whole-program tree evaluation in ``match_batch`` ≡ the per-event
+    ``match`` (the recursive ``_evaluate_compiled``) ≡ the naive oracle,
+    with bit-identical statistics.
 
     Two engines built through the same churn history answer the same
-    batch with the toggle on and off; a third answers per event.  All
-    three must agree on match sets *and* on (matches, candidates,
-    tree_evaluations, fulfilled_predicates).
+    events, one as a batch and one per event; both must agree with the
+    oracle on match sets and with each other on (events, matches,
+    candidates, tree_evaluations, fulfilled_predicates).
     """
-    from repro.matching import batch as batch_module
-
-    vectorized_engine, oracle = apply_churn(ops)
-    scalar_engine, _ = apply_churn(ops)
+    batch_engine, oracle = apply_churn(ops)
     per_event_engine, _ = apply_churn(ops)
-    original = batch_module._VECTORIZE_TREES
-    try:
-        batch_module._VECTORIZE_TREES = True
-        vectorized = vectorized_engine.match_batch(EventBatch(events))
-        batch_module._VECTORIZE_TREES = False
-        scalar = scalar_engine.match_batch(EventBatch(events))
-    finally:
-        batch_module._VECTORIZE_TREES = original
+    batched = batch_engine.match_batch(EventBatch(events))
     per_event = [per_event_engine.match(event) for event in events]
-    assert vectorized == scalar == per_event
-    assert vectorized == [sorted(oracle.match(event)) for event in events]
-    assert (
-        _statistics_tuple(vectorized_engine)
-        == _statistics_tuple(scalar_engine)
-        == _statistics_tuple(per_event_engine)
-    )
+    assert batched == per_event
+    assert batched == [sorted(oracle.match(event)) for event in events]
+    assert _statistics_tuple(batch_engine) == _statistics_tuple(per_event_engine)
 
 
 @given(
@@ -261,58 +248,38 @@ def test_pruned_trees_vectorize_equivalently(ops, events):
     ]
 
 
-@given(churn_ops(), st.lists(strategies.events(), min_size=1, max_size=6))
-@settings(max_examples=60, deadline=None)
-def test_evaluation_tiers_agree_under_churn(ops, events):
-    """Forcing each fallback tier (dense / per-slot / scalar groups)
-    changes nothing observable."""
-    from repro.matching import batch as batch_module
-
-    counting, oracle = apply_churn(ops)
-    expected = [sorted(oracle.match(event)) for event in events]
-    forced = [
-        # Always dense whenever any tree candidate survives.
-        {"_DENSE_EVAL_MIN_DENSITY": 0.0, "_SCALAR_GROUP_MAX_ROWS": 0},
-        # Never dense, always per-slot vectorized groups.
-        {"_DENSE_EVAL_MIN_DENSITY": 2.0, "_SCALAR_GROUP_MAX_ROWS": 0},
-        # Never dense, tiny groups stay scalar.
-        {"_DENSE_EVAL_MIN_DENSITY": 2.0, "_SCALAR_GROUP_MAX_ROWS": 10_000},
-    ]
-    originals = {
-        name: getattr(batch_module, name)
-        for name in ("_DENSE_EVAL_MIN_DENSITY", "_SCALAR_GROUP_MAX_ROWS")
-    }
-    try:
-        for overrides in forced:
-            for name, value in overrides.items():
-                setattr(batch_module, name, value)
-            assert counting.match_batch(EventBatch(events)) == expected
-    finally:
-        for name, value in originals.items():
-            setattr(batch_module, name, value)
-
-
-def test_oversized_trees_fall_back_to_scalar(monkeypatch):
-    """Trees beyond the program bounds keep the scalar evaluator, and
-    the batch path still matches the per-event oracle."""
-    from repro.matching import treeval
+def test_trees_deeper_than_64_levels_compile_and_match():
+    """Every general tree compiles, however deep; the batch path still
+    matches the per-event path and the naive oracle."""
+    from repro.events import Event
     from repro.subscriptions.builder import And, Or, P
 
-    monkeypatch.setattr(treeval, "MAX_TREE_DEPTH", 1)
     matcher = CountingMatcher()
     naive = NaiveMatcher()
-    tree = Or(And(P("na") <= 2, P("nb") >= 0), And(P("na") >= 5, P("nc") == 1))
     for sub_id in range(3):
+        # Alternate AND/OR so normalization cannot flatten the nesting;
+        # with every OR leaf false and every AND leaf true, the innermost
+        # leaf decides.
+        tree = P("na") >= sub_id
+        for level in range(80):
+            if level % 2:
+                tree = And(P("nc") <= level, tree)
+            else:
+                tree = Or(P("nb") <= level, tree)
         matcher.register(Subscription(sub_id, tree))
         naive.register(Subscription(sub_id, tree))
     assert matcher.tree_slot_count == 3
-    assert len(matcher._tree_programs) == 0  # all refused -> scalar
-    from repro.events import Event
-
-    events = [Event({"na": 1, "nb": 3}), Event({"na": 9, "nc": 1}), Event({})]
-    assert matcher.match_batch(EventBatch(events)) == [
-        sorted(naive.match(event)) for event in events
-    ]
+    assert len(matcher._tree_programs) == matcher.tree_slot_count
+    events = [
+        Event({"na": na, "nb": nb, "nc": nc})
+        for na in (0, 1, 5)
+        for nb in (-1, 40, 200)
+        for nc in (0, 40, 100)
+    ] + [Event({"nb": 200, "nc": 0}), Event({})]
+    expected = [sorted(naive.match(event)) for event in events]
+    assert len(set(map(tuple, expected))) > 2
+    assert matcher.match_batch(EventBatch(events)) == expected
+    assert [matcher.match(event) for event in events] == expected
 
 
 def test_flags_matrix_skipped_for_flat_only_tables():

@@ -1,10 +1,9 @@
-"""Unit and property tests of the shared flat compiled-tree program.
+"""Unit and property tests of the whole-table compiled-tree program.
 
-The vectorized evaluator (:mod:`repro.matching.treeval`) must agree with
-the scalar recursive oracle ``_evaluate_compiled`` on every tree and
-every flags matrix — per slot (grouped rows), densely (all trees at
-once), and across add/discard churn with range recycling and lazy
-re-materialization.
+The whole-program evaluator (:mod:`repro.matching.treeval`) must agree
+with the scalar recursive oracle ``_evaluate_compiled`` on every tree
+and every flags matrix, across compile/discard churn over sparse slot
+ids.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MatchingError
-from repro.matching import treeval
 from repro.matching.counting import _compile_tree, _evaluate_compiled
 from repro.matching.treeval import OP_AND, OP_LEAF, OP_OR, TreePrograms
 from repro.subscriptions.nodes import ConstNode, PredicateLeaf
@@ -45,22 +43,56 @@ def random_flags(seed, rows, width):
     return rng.random((rows, max(width, 1))) < 0.5
 
 
-@given(strategies.trees(max_leaves=24), st.integers(0, 2**32 - 1))
+def _shift_entries(program, offset):
+    opcode, operand = program
+    if opcode == OP_LEAF:
+        return (opcode, operand + offset)
+    return (opcode, tuple(_shift_entries(child, offset) for child in operand))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.booleans(),
+            strategies.trees(max_leaves=24),
+            st.integers(0, 40),
+        ),
+        min_size=1,
+        max_size=14,
+    ),
+    st.integers(0, 2**32 - 1),
+)
 @settings(max_examples=150, deadline=None)
-def test_vectorized_evaluation_equals_scalar_oracle(tree, seed):
-    compiled = compiled_program(tree)
-    if compiled is None:
-        return
-    program, leaf_count = compiled
+def test_vectorized_evaluation_equals_scalar_oracle(ops, seed):
+    """``evaluate(flags)`` answers for every compiled slot exactly like
+    the scalar ``_evaluate_compiled``, after every compile or discard of
+    an interleaved churn history over sparse slot ids."""
     programs = TreePrograms()
-    assert programs.compile(7, program)
-    flags = random_flags(seed, rows=5, width=leaf_count)
-    rows = np.arange(5, dtype=np.int64)
-    vectorized = programs.evaluate(7, rows, flags)
-    expected = [_evaluate_compiled(program, flags[row]) for row in range(5)]
-    assert vectorized.tolist() == expected
-    root_positions, values = programs.evaluate_dense(flags)
-    assert values[root_positions[7], rows].tolist() == expected
+    live = {}
+    width = 0
+    for register, tree, slot_gap in ops:
+        if register or not live:
+            compiled = compiled_program(tree)
+            if compiled is None:
+                continue
+            program, leaf_count = compiled
+            # Sparse slot ids, reusing discarded ones when free.
+            slot = slot_gap if slot_gap not in live else max(live) + 1 + slot_gap
+            live[slot] = _shift_entries(program, width)
+            programs.compile(slot, live[slot])
+            width += leaf_count
+        else:
+            slot = sorted(live)[len(live) // 2]
+            programs.discard(slot)
+            del live[slot]
+        assert len(programs) == len(live)
+        flags = random_flags(seed, rows=5, width=width)
+        root_positions, values = programs.evaluate(flags)
+        for slot, program in live.items():
+            expected = [
+                _evaluate_compiled(program, flags[row]) for row in range(5)
+            ]
+            assert values[root_positions[slot]].tolist() == expected
 
 
 @given(
@@ -69,7 +101,8 @@ def test_vectorized_evaluation_equals_scalar_oracle(tree, seed):
 )
 @settings(max_examples=60, deadline=None)
 def test_dense_evaluation_spans_every_compiled_tree(tree_list, seed):
-    """evaluate_dense answers for all slots exactly like per-slot calls."""
+    """One ``evaluate(flags)`` call answers for every compiled slot at
+    once, each tree over its own disjoint range of flag columns."""
     programs = TreePrograms()
     compiled = {}
     offset = 0
@@ -79,27 +112,20 @@ def test_dense_evaluation_spans_every_compiled_tree(tree_list, seed):
             continue
         program, leaf_count = result
         shifted = _shift_entries(program, offset)
-        assert programs.compile(slot, shifted)
+        programs.compile(slot, shifted)
         compiled[slot] = shifted
         offset += leaf_count
     if not compiled:
         return
     flags = random_flags(seed, rows=4, width=offset)
-    rows = np.arange(4, dtype=np.int64)
-    root_positions, values = programs.evaluate_dense(flags)
+    root_positions, values = programs.evaluate(flags)
+    assert values.shape == (programs.node_count, 4)
+    for slot in range(len(tree_list)):
+        if slot not in compiled:
+            assert slot >= len(root_positions) or root_positions[slot] == -1
     for slot, program in compiled.items():
-        per_slot = programs.evaluate(slot, rows, flags)
-        dense = values[root_positions[slot], rows]
         expected = [_evaluate_compiled(program, flags[row]) for row in range(4)]
-        assert per_slot.tolist() == expected
-        assert dense.tolist() == expected
-
-
-def _shift_entries(program, offset):
-    opcode, operand = program
-    if opcode == OP_LEAF:
-        return (opcode, operand + offset)
-    return (opcode, tuple(_shift_entries(child, offset) for child in operand))
+        assert values[root_positions[slot]].tolist() == expected
 
 
 @given(
@@ -112,9 +138,11 @@ def _shift_entries(program, offset):
 )
 @settings(max_examples=60, deadline=None)
 def test_recycling_churn_preserves_evaluation(ops, seed):
-    """Interleaved compile/discard recycles ranges without corruption."""
+    """Interleaved compile/discard, with discarded slot ids compiled
+    again, leaves every live tree's verdicts intact."""
     programs = TreePrograms()
     live = {}
+    free_slots = []
     next_slot = 0
     width = 64
     for register, tree in ops:
@@ -125,91 +153,32 @@ def test_recycling_churn_preserves_evaluation(ops, seed):
             program, leaf_count = compiled
             if leaf_count > width:
                 continue
-            if programs.compile(next_slot, program):
-                live[next_slot] = program
-            next_slot += 1
+            if free_slots:
+                slot = free_slots.pop()
+            else:
+                slot = next_slot
+                next_slot += 1
+            programs.compile(slot, program)
+            live[slot] = program
         else:
             slot = sorted(live)[len(live) // 2]
             programs.discard(slot)
             del live[slot]
+            free_slots.append(slot)
+        assert len(programs) == len(live)
         flags = random_flags(seed, rows=3, width=width)
-        rows = np.arange(3, dtype=np.int64)
+        root_positions, values = programs.evaluate(flags)
         for slot, program in live.items():
             expected = [
                 _evaluate_compiled(program, flags[row]) for row in range(3)
             ]
-            assert programs.evaluate(slot, rows, flags).tolist() == expected
-
-
-def test_exact_fit_recycling_reuses_ranges():
-    program = (OP_OR, ((OP_AND, ((OP_LEAF, 0), (OP_LEAF, 1))), (OP_LEAF, 2)))
-    programs = TreePrograms()
-    assert programs.compile(0, program)
-    top = programs.node_capacity
-    for round_number in range(20):
-        programs.discard(0)
-        assert programs.compile(0, program)
-    assert programs.node_capacity == top
-    assert programs.free_node_count == 0
-
-
-def test_rematerialization_repacks_and_preserves_results():
-    programs = TreePrograms()
-    trees = {}
-    for slot in range(8):
-        program = (
-            OP_AND,
-            ((OP_LEAF, slot), (OP_OR, ((OP_LEAF, 8 + slot), (OP_LEAF, 16 + slot)))),
-        )
-        assert programs.compile(slot, program)
-        trees[slot] = program
-    for slot in (1, 3, 5):
-        programs.discard(slot)
-        del trees[slot]
-    assert programs.free_node_count > 0
-    flags = random_flags(3, rows=4, width=24)
-    rows = np.arange(4, dtype=np.int64)
-    before = {
-        slot: programs.evaluate(slot, rows, flags).tolist() for slot in trees
-    }
-    programs._rematerialize()
-    assert programs.free_node_count == 0
-    assert programs.node_capacity == programs.live_node_count
-    for slot, program in trees.items():
-        assert programs.evaluate(slot, rows, flags).tolist() == before[slot]
-        assert before[slot] == [
-            _evaluate_compiled(program, flags[row]) for row in range(4)
-        ]
-
-
-def test_rematerialization_triggers_automatically(monkeypatch):
-    monkeypatch.setattr(treeval, "_COMPACT_MIN_FREE", 4)
-    programs = TreePrograms()
-    program = (OP_OR, ((OP_AND, ((OP_LEAF, 0), (OP_LEAF, 1))), (OP_LEAF, 2)))
-    wide = (OP_AND, tuple((OP_LEAF, index) for index in range(6)))
-    assert programs.compile(0, program)
-    assert programs.compile(1, wide)
-    # Discarding the wide tree leaves more free than live cells.
-    programs.discard(1)
-    assert programs.free_node_count == 0  # re-materialized away
-
-
-def test_depth_and_size_bounds_refuse_compilation(monkeypatch):
-    program = (OP_OR, ((OP_AND, ((OP_LEAF, 0), (OP_LEAF, 1))), (OP_LEAF, 2)))
-    assert not TreePrograms(max_depth=1).compile(0, program)
-    assert not TreePrograms(max_nodes=3).compile(0, program)
-    accepted = TreePrograms(max_depth=2, max_nodes=5)
-    assert accepted.compile(0, program)
-    monkeypatch.setattr(treeval, "MAX_TREE_DEPTH", 1)
-    refused = TreePrograms()
-    assert not refused.compile(0, program)
-    assert not refused.has(0)
+            assert values[root_positions[slot]].tolist() == expected
 
 
 def test_duplicate_slot_compilation_rejected():
     programs = TreePrograms()
     program = (OP_AND, ((OP_LEAF, 0), (OP_LEAF, 1)))
-    assert programs.compile(0, program)
+    programs.compile(0, program)
     with pytest.raises(MatchingError):
         programs.compile(0, program)
 
@@ -217,4 +186,12 @@ def test_duplicate_slot_compilation_rejected():
 def test_discard_unknown_slot_is_noop():
     programs = TreePrograms()
     programs.discard(99)
+    assert len(programs) == 0
+
+
+def test_invalid_program_rejected():
+    programs = TreePrograms()
+    for program in ((OP_OR, ()), (9, 0), (OP_AND, ((OP_LEAF, 0), (7, ())))):
+        with pytest.raises(MatchingError):
+            programs.compile(0, program)
     assert len(programs) == 0
