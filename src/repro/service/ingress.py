@@ -29,11 +29,14 @@ identifies the event's submission position no matter how the ingress
 grouped the stream.
 
 Ordering contract: a flush happens when the buffer reaches
-``max_batch``, on explicit :meth:`flush`, and — driven by the service
-layer — before any subscription churn (subscribe/unsubscribe/replace),
-so every event is matched against exactly the subscription table that
-was live when it was submitted (under concurrency: a table live between
-submission and flush, which is the strongest linearizable guarantee).
+``max_batch``, on explicit :meth:`flush` (which the transport server
+calls for remote publishers as soon as their publish bursts are
+handled, see :mod:`repro.transport.server`), and — driven by the
+service layer — before any subscription churn
+(subscribe/unsubscribe/replace), so every event is matched against
+exactly the subscription table that was live when it was submitted
+(under concurrency: a table live between submission and flush, which
+is the strongest linearizable guarantee).
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ class Ingress:
         are serialized on the drain lock; the buffer is snapshotted at
         entry, so events submitted concurrently with a drain wait for
         the next one (their submitting thread triggers it once the
-        buffer refills to ``max_batch``).
+        buffer refills to ``max_batch``; on the wire, the server's
+        drain picks them up).
 
         If a group's publication raises (a broker error, or a
         :class:`~repro.errors.DeliveryError` carrying contained sink

@@ -42,6 +42,17 @@ connect) run in worker threads (``asyncio.to_thread``), never on the
 event loop: a flush may block in a full ``block``-policy queue, and the
 loop must stay free to run the drain tasks that empty those queues.
 
+**Natural batching**: remote publishers cannot call
+``service.flush()``, so the server drains the ingress for them.  As
+soon as no connection is still handling a read burst that contains a
+``publish``, one *ingress drain* task flushes in a worker thread, and
+flushes again while events are pending.  Events submitted during a
+flush become the next batch, so batch size follows load without a
+timer: about one event when paced, and ``max_batch`` under saturation,
+where the submitting thread flushes each full batch itself.  Bursts of
+acks (or of churn, which flushes on its own) neither start nor hold off
+the drain.
+
 All blocking service work is paid per *message*; framing, auth, and
 bookkeeping stay on the loop.  See ``docs/ARCHITECTURE.md``
 ("Transport") for the full picture.
@@ -329,15 +340,30 @@ class _Connection:
                         {"type": "goodbye", "reason": GOODBYE_PROTOCOL_ERROR}
                     )
                     break
-                for message in messages:
-                    if isinstance(message, ProtocolError):
-                        # Malformed payload in an intact frame: reject
-                        # just the message, keep the connection.
-                        await self._send_error(message.code, str(message))
-                        continue
-                    await self._handle(message)
-                    if self._finished:
-                        break
+                publishing = any(
+                    not isinstance(message, ProtocolError)
+                    and message["type"] == "publish"
+                    for message in messages
+                )
+                if publishing:
+                    self._server._publishing_bursts += 1
+                try:
+                    for message in messages:
+                        if isinstance(message, ProtocolError):
+                            # Malformed payload in an intact frame:
+                            # reject just the message, keep the
+                            # connection.
+                            await self._send_error(message.code, str(message))
+                            continue
+                        await self._handle(message)
+                        if self._finished:
+                            break
+                finally:
+                    # Released even when the burst dies mid-way, or no
+                    # connection's drain would ever start again.
+                    if publishing:
+                        self._server._publishing_bursts -= 1
+                        self._server._kick_ingress_drain()
         except (ConnectionError, OSError):
             pass
         finally:
@@ -511,7 +537,6 @@ class _Connection:
         except ReproError as error:
             await self._send_error(_service_code(error), str(error), message["id"])
             return
-        self._server._note_publish(flushed)
         await self._send(
             {"type": "published", "id": message["id"], "flushed": flushed}
         )
@@ -611,11 +636,11 @@ class PubSubServer:
     streams (see :mod:`repro.transport.streams`; used by
     :func:`repro.faults.faulty_stream` for chaos testing).
 
-    ``flush_linger`` is the
-    idle-tail deadline: a wire publish that leaves the ingress batch
-    partially filled arms a timer that flushes it once no further
-    publish arrives within that many seconds (remote publishers have no
-    ``service.flush()``), so bursts batch but tails never strand.
+    Remote publishers have no ``service.flush()``: the server drains
+    the ingress for them as soon as no connection is still handling a
+    read burst that contains a ``publish`` (natural batching, see the
+    module docstring), so a burst smaller than ``max_batch`` never
+    strands and no timer delays a quiet wire's last event.
 
     Use as an async context manager, or ``await start()`` /
     ``await close()`` explicitly::
@@ -641,7 +666,6 @@ class PubSubServer:
         policy: str = "block",
         bridge_window: int = DEFAULT_BRIDGE_WINDOW,
         max_unacked: Optional[int] = None,
-        flush_linger: float = 0.01,
         heartbeat_interval: Optional[float] = None,
         idle_timeout: Optional[float] = None,
         stream_wrapper: Optional[StreamWrapper] = None,
@@ -661,7 +685,6 @@ class PubSubServer:
             if max_unacked is not None
             else max(4 * queue_capacity, 4 * bridge_window)
         )
-        self.flush_linger = flush_linger
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise TransportError("heartbeat_interval must be > 0")
         if idle_timeout is not None and idle_timeout <= 0:
@@ -677,8 +700,11 @@ class PubSubServer:
         self._states: Dict[str, _SessionState] = {}
         self._connections: List[_Connection] = []
         self._connection_tasks: "set[asyncio.Task[None]]" = set()
-        self._flush_timer: Optional[asyncio.TimerHandle] = None
-        self._flush_tasks: "set[asyncio.Task[None]]" = set()
+        #: Connections now handling a read burst that contains a
+        #: ``publish``; the drain waits for this to reach zero.  Both it
+        #: and ``_ingress_drain`` are only touched on the loop thread.
+        self._publishing_bursts = 0
+        self._ingress_drain: Optional["asyncio.Task[None]"] = None
         self._port: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -715,11 +741,8 @@ class PubSubServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
-        if self._flush_tasks:
-            await asyncio.wait(set(self._flush_tasks), timeout=2.0)
+        if self._ingress_drain is not None:
+            await asyncio.wait({self._ingress_drain}, timeout=2.0)
         await asyncio.to_thread(self.service.flush)
         deadline = time.monotonic() + drain_timeout
         for connection in list(self._connections):
@@ -780,40 +803,34 @@ class PubSubServer:
             if task is not None:
                 self._connection_tasks.discard(task)
 
-    def _note_publish(self, flushed: bool) -> None:
-        """Arm (or disarm) the linger flush after a wire publish.
-
-        A remote publisher has no ``service.flush()``: without this, a
-        partial ingress batch — the tail of a publish burst smaller
-        than ``max_batch`` — would sit buffered until some *other*
-        activity flushed it.  Each publish that leaves events buffered
-        re-arms a ``flush_linger``-second timer; a publish that flushed
-        (or a newer publish) disarms/resets it, so the timer only fires
-        once the wire goes quiet and batching still amortizes bursts.
-        """
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-            self._flush_timer = None
-        if flushed or self.loop is None:
+    def _kick_ingress_drain(self) -> None:
+        """Start the drain task if events wait and no publishing burst
+        is still being handled (a running drain re-checks on its own)."""
+        if (
+            self._publishing_bursts
+            or self._ingress_drain is not None
+            or not self.service.ingress.pending_count
+        ):
             return
-        self._flush_timer = self.loop.call_later(
-            self.flush_linger, self._fire_linger_flush
-        )
+        self._ingress_drain = asyncio.ensure_future(self._drain_ingress())
 
-    def _fire_linger_flush(self) -> None:
-        self._flush_timer = None
-        task = asyncio.ensure_future(self._flush_idle_tail())
-        self._flush_tasks.add(task)
-        task.add_done_callback(self._flush_tasks.discard)
-
-    async def _flush_idle_tail(self) -> None:
+    async def _drain_ingress(self) -> None:
+        """Flush until the ingress is empty or a publishing burst starts
+        (that burst's end kicks the next drain)."""
         try:
-            await asyncio.to_thread(self.service.flush)
+            while (
+                not self._publishing_bursts
+                and self.service.ingress.pending_count
+            ):
+                await asyncio.to_thread(self.service.flush)
         except ReproError:
             # Flush failures surface to publishers on their next round
             # trip (and to sinks via the service's error containment);
-            # the idle timer itself has no one to report to.
+            # the drain has no one to report to.  It stops rather than
+            # re-flush, and the next publishing burst starts a new one.
             pass
+        finally:
+            self._ingress_drain = None
 
     def _authenticate(self, client: str, auth: Optional[str]) -> bool:
         if self._auth_tokens is None:

@@ -15,15 +15,17 @@ therefore quiesce by awaiting their publishes.
 """
 
 import asyncio
+import threading
 
 import pytest
 
 from repro.errors import TransportError
 from repro.events import Event
 from repro.routing.topology import line_topology
-from repro.service import CollectingSink, PubSubService
+from repro.service import CallbackSink, CollectingSink, PubSubService
 from repro.subscriptions.builder import P
 from repro.transport import PubSubClient, PubSubServer
+from repro.transport.server import _Connection
 
 
 def fingerprint(notifications):
@@ -291,17 +293,15 @@ class TestTransportE2E:
         asyncio.run(main())
 
     @pytest.mark.timeout(120)
-    def test_linger_flush_delivers_the_partial_batch_tail(self):
+    def test_partial_batch_tail_is_delivered_without_a_timer(self):
         """A remote publisher can't call ``service.flush()``: a publish
         burst smaller than ``max_batch`` must still be delivered, via
-        the server's linger flush, without any other wire activity."""
+        the server's ingress drain, without any other wire activity."""
 
         async def main():
             # max_batch far above the burst size: nothing fills a batch.
             service = PubSubService(topology=line_topology(1), max_batch=64)
-            async with PubSubServer(
-                service, "b0", flush_linger=0.01
-            ) as server:
+            async with PubSubServer(service, "b0") as server:
                 subscriber = PubSubClient("127.0.0.1", server.port, "alice")
                 await subscriber.connect()
                 await subscriber.subscribe(P("x") >= 0)
@@ -310,7 +310,7 @@ class TestTransportE2E:
                 for i in range(3):
                     assert not (await publisher.publish(Event({"x": i})))
                 # No churn, no more publishes, no explicit flush — the
-                # linger timer is the only thing that can deliver these.
+                # server's drain is the only thing that can deliver these.
                 await subscriber.wait_for_notifications(3)
                 assert [n.event["x"] for n in subscriber.notifications] == [
                     0,
@@ -318,6 +318,152 @@ class TestTransportE2E:
                     2,
                 ]
                 assert_gapless(subscriber)
+                await publisher.close()
+                await subscriber.close()
+            service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.timeout(120)
+    def test_events_published_during_a_flush_are_drained(self):
+        """Events submitted while the drain's flush runs are the next
+        batch: the drain flushes again, with no further wire activity."""
+
+        async def main():
+            service = PubSubService(topology=line_topology(1), max_batch=64)
+            entered = threading.Event()
+            release = threading.Event()
+
+            def hold_first(notification):
+                if not entered.is_set():
+                    entered.set()
+                    release.wait(10.0)
+
+            holder = service.connect("b0", "holder", CallbackSink(hold_first))
+            holder.subscribe(P("x") >= 0)
+            try:
+                async with PubSubServer(service, "b0") as server:
+                    subscriber = PubSubClient("127.0.0.1", server.port, "alice")
+                    await subscriber.connect()
+                    await subscriber.subscribe(P("x") >= 0)
+                    publisher = PubSubClient("127.0.0.1", server.port, "pub")
+                    await publisher.connect()
+                    assert not (await publisher.publish(Event({"x": 0})))
+                    # The first flush is now held inside the sink.
+                    await _pump_until(entered.is_set)
+                    for i in (1, 2, 3):
+                        assert not (await publisher.publish(Event({"x": i})))
+                    release.set()
+                    await subscriber.wait_for_notifications(4)
+                    assert [n.event["x"] for n in subscriber.notifications] == [
+                        0,
+                        1,
+                        2,
+                        3,
+                    ]
+                    assert_gapless(subscriber)
+                    await publisher.close()
+                    await subscriber.close()
+            finally:
+                release.set()
+            service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.timeout(120)
+    def test_a_publisher_dying_mid_burst_does_not_stall_the_drain(
+        self, monkeypatch
+    ):
+        """A connection whose publish burst ends in a connection error
+        must release its hold on the drain, or no publisher's events
+        would ever be flushed again.  The server's writes swallow a dead
+        socket's errors, so the reset is raised from the publish
+        handler of the connection that then aborts."""
+        handle_publish = _Connection._handle_publish
+        resets = []
+
+        async def reset_after_publish(connection, message):
+            await handle_publish(connection, message)
+            if connection._state.session.client == "a":
+                resets.append(message["id"])
+                raise ConnectionResetError("connection reset mid-burst")
+
+        monkeypatch.setattr(_Connection, "_handle_publish", reset_after_publish)
+
+        async def main():
+            service = PubSubService(topology=line_topology(1), max_batch=64)
+            async with PubSubServer(service, "b0") as server:
+                subscriber = PubSubClient("127.0.0.1", server.port, "alice")
+                await subscriber.connect()
+                await subscriber.subscribe(P("x") >= 0)
+                a = PubSubClient("127.0.0.1", server.port, "a")
+                b = PubSubClient("127.0.0.1", server.port, "b")
+                await a.connect()
+                await b.connect()
+                # Pipelined: none of these waits for its reply.
+                pending = [
+                    asyncio.ensure_future(a.publish(Event({"x": i})))
+                    for i in range(3)
+                ]
+                await _pump_until(lambda: resets)
+                await a.abort()
+                await asyncio.gather(*pending, return_exceptions=True)
+                await b.publish(Event({"x": 100}))
+                await subscriber.wait_for_notifications(2, timeout=5.0)
+                assert [n.event["x"] for n in subscriber.notifications] == [
+                    0,
+                    100,
+                ]
+                assert len(resets) == 1
+                await b.close()
+                await subscriber.close()
+            service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.timeout(120)
+    def test_a_failing_flush_ends_the_drain_and_the_next_burst_restarts_it(self):
+        """A flush that raises (here: a contained in-process sink
+        failure) stops the drain instead of re-flushing; the next
+        publishing burst starts a fresh one."""
+
+        async def main():
+            service = PubSubService(topology=line_topology(1), max_batch=64)
+            failures = []
+
+            def fail_once(notification):
+                if not failures:
+                    failures.append(notification)
+                    raise RuntimeError("sink failure")
+
+            failing = service.connect("b0", "failing", CallbackSink(fail_once))
+            failing.subscribe(P("x") >= 0)
+            flushes = []
+            flush = service.flush
+
+            def counting_flush():
+                flushes.append(None)
+                return flush()
+
+            async with PubSubServer(service, "b0") as server:
+                subscriber = PubSubClient("127.0.0.1", server.port, "alice")
+                await subscriber.connect()
+                await subscriber.subscribe(P("x") >= 0)
+                publisher = PubSubClient("127.0.0.1", server.port, "pub")
+                await publisher.connect()
+                service.flush = counting_flush
+                await publisher.publish(Event({"x": 0}))
+                await _pump_until(lambda: failures)
+                for i in (1, 2):
+                    await publisher.publish(Event({"x": i}))
+                await subscriber.wait_for_notifications(3)
+                assert [n.event["x"] for n in subscriber.notifications] == [
+                    0,
+                    1,
+                    2,
+                ]
+                # At most one flush per publishing burst.
+                assert 1 <= len(flushes) <= 3
                 await publisher.close()
                 await subscriber.close()
             service.close()
