@@ -1,10 +1,9 @@
-"""Micro-benchmarks of the batch-vectorized matching path.
+"""Micro-benchmarks of the counting engine's batch matching pipeline.
 
-Single-event vs batch throughput for the counting engine, the
-columnar-vs-per-event index probe comparison, and the end-to-end batch
-paths.  Results land in ``BENCH_matching.json`` next to the single-event
-numbers so the speedup is tracked across PRs (schema documented in
-``docs/BENCHMARKS.md``).
+One ``match_batch`` over the whole event list vs one-row batches (the
+per-event ``match``), checked against the naive oracle.  Results land in
+``BENCH_matching.json`` next to the single-event numbers so the speedup
+is tracked across PRs (schema documented in ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
@@ -12,9 +11,8 @@ from __future__ import annotations
 import pytest
 
 from conftest import best_seconds
-from repro.events import EventBatch
-from repro.matching.batch import counting_match_batch_rowwise
 from repro.matching.counting import CountingMatcher
+from repro.matching.naive import NaiveMatcher
 
 
 @pytest.fixture(scope="module")
@@ -25,15 +23,15 @@ def counting(bench_subscriptions):
     return matcher
 
 
-def test_batch_matches_sequential(counting, bench_events):
-    """The vectorized path is exactly the sequential path, event-wise."""
+def test_batch_matches_sequential(counting, bench_subscriptions, bench_events):
+    """One batch and one-row batches both equal the naive oracle."""
+    naive = NaiveMatcher()
+    for subscription in bench_subscriptions:
+        naive.register(subscription)
     events = bench_events.events
-    assert counting.match_batch(events) == [
-        sorted(counting.match(event)) for event in events
-    ]
-    assert counting_match_batch_rowwise(counting, events) == [
-        sorted(counting.match(event)) for event in events
-    ]
+    expected = [sorted(naive.match(event)) for event in events]
+    assert counting.match_batch(events) == expected
+    assert [counting.match(event) for event in events] == expected
 
 
 def test_batch_matching_throughput(benchmark, counting, bench_events,
@@ -66,70 +64,3 @@ def test_batch_matching_throughput(benchmark, counting, bench_events,
             sequential_seconds / batch_seconds if batch_seconds else None
         ),
     }
-
-
-def test_columnar_probe_speedup(counting, bench_events, bench_results):
-    """Columnar batch probe vs the per-event ``collect`` loop.
-
-    Measured twice: probe-only (the index work this PR vectorizes — one
-    ``searchsorted``/dict lookup per bucket per batch instead of per
-    event) and end-to-end through ``match_batch`` (where the shared
-    candidate test and tree-evaluation fallback dilute the probe win).
-    The acceptance gate is the columnar probe beating the loop.
-    """
-    events = bench_events.events
-    columns = EventBatch(events).columns()
-    indexes = counting._indexes
-
-    def probe_columnar():
-        positives, negatives = ([], []), ([], [])
-        indexes.collect_batch(columns, positives, negatives)
-        return sum(len(array) for array in positives[0])
-
-    def probe_rowwise():
-        total = 0
-        for event in events:
-            positives, negatives = [], []
-            for attribute, value in event.items():
-                indexes.collect(attribute, value, positives, negatives)
-            total += sum(len(array) for array in positives)
-        return total
-
-    assert probe_columnar() == probe_rowwise()
-    columnar_probe_seconds, _ = best_seconds(probe_columnar)
-    rowwise_probe_seconds, _ = best_seconds(probe_rowwise)
-
-    def run_columnar():
-        # A fresh EventBatch each call keeps columnarization inside the
-        # measured region — batches arrive columnarized exactly once.
-        return sum(len(ids) for ids in counting.match_batch(EventBatch(events)))
-
-    def run_rowwise():
-        return sum(
-            len(ids) for ids in counting_match_batch_rowwise(counting, events)
-        )
-
-    assert run_columnar() == run_rowwise()
-    columnar_seconds, _ = best_seconds(run_columnar)
-    rowwise_seconds, _ = best_seconds(run_rowwise)
-    bench_results["columnar_probe"] = {
-        "events": len(events),
-        "columnar_probe_seconds": columnar_probe_seconds,
-        "rowwise_probe_seconds": rowwise_probe_seconds,
-        "probe_speedup": (
-            rowwise_probe_seconds / columnar_probe_seconds
-            if columnar_probe_seconds
-            else None
-        ),
-        "columnar_match_seconds": columnar_seconds,
-        "rowwise_match_seconds": rowwise_seconds,
-        "match_speedup": (
-            rowwise_seconds / columnar_seconds if columnar_seconds else None
-        ),
-    }
-    # Gross-regression gate only: the measured speedup itself lands in
-    # BENCH_matching.json (typically ~3x at bench scale).  A generous
-    # margin keeps shared CI runners' scheduling noise from flaking the
-    # build while still catching the columnar path becoming slower than
-    # the loop it replaced.
-    assert columnar_probe_seconds < rowwise_probe_seconds * 1.5

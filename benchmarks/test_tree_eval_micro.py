@@ -1,11 +1,11 @@
 """Micro-benchmark of compiled-tree evaluation in the batch path.
 
 Runs the tree-heavy workload (deep OR-of-ANDs, nearly every subscription
-survives the ``pmin`` gate) through ``match_batch`` — which evaluates the
-whole compiled-tree program once per chunk — and through the per-event
-``match`` loop, whose recursive ``_evaluate_compiled`` is the remaining
-scalar evaluator.  Both timings, plus the tree-evaluation stage timed in
-isolation, land under the ``tree_eval`` key of ``BENCH_matching.json``.
+survives the ``pmin`` gate) through one ``match_batch`` — which evaluates
+the whole compiled-tree program once per chunk — and through the
+per-event ``match`` loop, i.e. one-row batches.  Both timings, plus the
+tree-evaluation stage timed in isolation, land under the ``tree_eval``
+key of ``BENCH_matching.json``.
 
 Scale is adjustable through environment variables:
 
@@ -25,6 +25,7 @@ from conftest import _env_int, best_seconds
 from repro.events import EventBatch
 from repro.matching.batch import _BatchRun
 from repro.matching.counting import _KIND_TREE, CountingMatcher
+from repro.matching.naive import NaiveMatcher
 from repro.workloads.tree_heavy import TreeHeavyConfig, TreeHeavyWorkload
 
 TREE_SUBSCRIPTIONS = _env_int("REPRO_BENCH_TREE_SUBSCRIPTIONS", 500)
@@ -37,9 +38,14 @@ def tree_workload():
 
 
 @pytest.fixture(scope="module")
-def tree_matcher(tree_workload):
+def tree_subscriptions(tree_workload):
+    return tree_workload.generate_subscriptions(TREE_SUBSCRIPTIONS)
+
+
+@pytest.fixture(scope="module")
+def tree_matcher(tree_subscriptions):
     matcher = CountingMatcher()
-    for subscription in tree_workload.generate_subscriptions(TREE_SUBSCRIPTIONS):
+    for subscription in tree_subscriptions:
         matcher.register(subscription)
     return matcher
 
@@ -67,17 +73,21 @@ def _tree_eval_input(matcher, events):
 
 
 def test_vectorized_fallback_matches_scalar_and_per_event(
-    tree_matcher, tree_events
+    tree_matcher, tree_subscriptions, tree_events
 ):
-    """``match_batch`` produces exactly the per-event ``match`` sets."""
+    """``match_batch`` produces exactly the naive oracle's match sets."""
+    naive = NaiveMatcher()
+    for subscription in tree_subscriptions:
+        naive.register(subscription)
     assert tree_matcher.match_batch(EventBatch(tree_events)) == [
-        tree_matcher.match(event) for event in tree_events
+        sorted(naive.match(event)) for event in tree_events
     ]
 
 
 def test_tree_eval_fallback_speedup(tree_matcher, tree_events, bench_results):
-    """``match_batch`` vs the per-event ``match`` loop, end to end, plus
-    the whole-program tree evaluation timed in isolation."""
+    """One ``match_batch`` vs the per-event ``match`` loop (one-row
+    batches), end to end, plus the whole-program tree evaluation timed
+    in isolation."""
     flags, tree_rows, tree_slots = _tree_eval_input(tree_matcher, tree_events)
     assert len(tree_rows), "workload must produce surviving tree candidates"
     programs = tree_matcher._tree_programs
@@ -120,7 +130,7 @@ def test_tree_eval_fallback_speedup(tree_matcher, tree_events, bench_results):
     }
     stats.reset()
     # Gross-regression gate only (the measured speedup itself lands in
-    # BENCH_matching.json).  Tiny smoke runs are exempt: the batch
-    # path's numpy overhead only amortizes across real batches.
+    # BENCH_matching.json).  Tiny smoke runs are exempt: a batch's fixed
+    # numpy overhead only amortizes across real batches.
     if len(tree_events) >= 128:
         assert batch_match_seconds < per_event_match_seconds

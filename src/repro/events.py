@@ -64,6 +64,9 @@ class Event(Mapping[str, Value]):
                     "attribute %r has unsupported value type %s"
                     % (name, type(value).__name__)
                 )
+            if value != value:
+                # NaN: unordered, so no predicate could test it consistently.
+                raise TypeError("attribute %r is NaN" % name)
             cleaned[name] = value
         self._attributes = cleaned
         self._size_bytes: Optional[int] = None

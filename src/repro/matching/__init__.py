@@ -18,21 +18,21 @@ hash), run either in the caller's process or in persistent worker
 processes on separate cores, and merges per-event id lists and sums
 statistics so results are bit-identical to one unsharded engine.
 
-Both engines support ``match_batch`` (:mod:`repro.matching.batch`): the
-counting engine probes its indexes once per batch over the batch's
-columnar view, vectorizes the candidate test with a 2-D
-fulfilled-count matrix, and — when general-tree candidates survive —
-evaluates the whole compiled-tree program (:mod:`repro.matching.treeval`)
-against the chunk's entry-flag matrix in one pass of segment
-reductions; the naive engine loops — equal outputs are the batch path's
-correctness contract.  The counting engine's indexes and compiled trees
+The counting engine has one matching pipeline, ``match_batch``
+(:mod:`repro.matching.batch`), and its per-event ``match`` is a batch of
+one.  It probes its indexes once per batch over the batch's columnar
+view, vectorizes the candidate test with a 2-D fulfilled-count matrix,
+and — when general-tree candidates survive — evaluates the whole
+compiled-tree program (:mod:`repro.matching.treeval`) against the
+chunk's entry-flag matrix in one pass of segment reductions.  The naive
+engine loops; equal outputs are the pipeline's correctness contract.  The counting engine's indexes and compiled trees
 are incrementally maintained: register/unregister/replace touch only
 the subscription's own predicate buckets and tree (O(subscription), not
 O(table)); the tree program's evaluation layout is rebuilt lazily, and
 tables self-compact when unregistration churn fragments them.
 """
 
-from repro.matching.batch import counting_match_batch, counting_match_batch_rowwise
+from repro.matching.batch import counting_match_batch
 from repro.matching.counting import CountingMatcher
 from repro.matching.interfaces import Matcher
 from repro.matching.naive import NaiveMatcher
@@ -48,6 +48,5 @@ __all__ = [
     "ShardedMatcher",
     "TreePrograms",
     "counting_match_batch",
-    "counting_match_batch_rowwise",
     "shard_of",
 ]

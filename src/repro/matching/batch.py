@@ -1,11 +1,7 @@
-"""Vectorized batch matching for the counting engine.
+"""The counting engine's one matching pipeline.
 
-The per-event matcher answers one event at a time: collect fulfilled
-entries, one 1-D ``bincount`` per event, compare against ``pmin``.  For
-event *streams* that leaves most of numpy's throughput on the table —
-the candidate test is embarrassingly parallel across events, and so are
-the index probes themselves once the batch is **columnar**.
-
+The candidate test is embarrassingly parallel across events, and so are
+the index probes themselves once a batch is **columnar**.
 :func:`counting_match_batch` evaluates a whole batch at once:
 
 1. the batch is columnarized (per-attribute value arrays and presence
@@ -24,17 +20,14 @@ the index probes themselves once the batch is **columnar**.
    of the chunk, and the verdicts of the surviving (row, tree) pairs
    are read from its root rows.
 
+Every match goes through this pipeline: per-event
+:meth:`~repro.matching.counting.CountingMatcher.match` is a batch of
+one.  Its correctness oracle is :class:`~repro.matching.naive.NaiveMatcher`.
+
 The ``chunk × entry_capacity`` flags matrix exists solely to feed tree
 evaluation; when the table holds no general trees and no negated
 entries (flat-only workloads) it is neither allocated nor scattered
 into.
-
-:func:`counting_match_batch_rowwise` keeps the previous per-event probe
-loop (scalar :meth:`~repro.matching.predicate_index.PredicateIndexSet.collect`
-per event, shared 2-D bincount): it is the reference the columnar path
-is benchmarked and property-tested against.  Both are equivalent to
-looping :meth:`~repro.matching.counting.CountingMatcher.match` — the
-per-event oracle.
 
 Batches are processed in bounded chunks so the 2-D scratch matrices
 (``chunk × slot_count`` counts, ``chunk × entry_capacity`` flags and
@@ -83,8 +76,8 @@ class _BatchRun:
     """Shared scaffolding of one batch-matching pass over a matcher.
 
     Snapshots the matcher's slot/entry arrays, owns the chunked
-    count-candidate-evaluate pipeline, and accounts statistics exactly as
-    the per-event path would (one event counted per batch element).
+    count-candidate-evaluate pipeline, and accounts statistics (one
+    event counted per batch element).
     """
 
     def __init__(self, matcher: "CountingMatcher") -> None:
@@ -161,8 +154,10 @@ class _BatchRun:
         needs none — no general trees and no negated entries) and
         bincounts them into the ``chunk × slot_count`` matrix the
         candidate test compares against ``pmin``.  Shared by
-        :meth:`resolve_chunk` and the tree-eval micro-benchmark, which
-        must feed tree evaluation exactly what production does.
+        :meth:`resolve_chunk`,
+        :meth:`~repro.matching.counting.CountingMatcher.fulfilled_counts`
+        and the tree-eval micro-benchmark, which must see exactly the
+        counts and flags production does.
         """
         slot_count = self.slot_count
         flags = (
@@ -206,11 +201,9 @@ def counting_match_batch(
 ) -> List[List[int]]:
     """Match every event of ``events``; returns one id list per event.
 
-    The columnar fast path: probes run once per batch over the batch's
-    columns (built lazily and cached when ``events`` is an
-    :class:`EventBatch`).  Produces exactly the same match sets as
-    calling :meth:`~repro.matching.counting.CountingMatcher.match` per
-    event, and updates the matcher's statistics identically.
+    Probes run once per batch over the batch's columns (built lazily
+    and cached when ``events`` is an :class:`EventBatch`), and the
+    matcher's statistics grow by one event per batch element.
     """
     started = time.perf_counter()
     batch = EventBatch.coerce(events)
@@ -234,43 +227,4 @@ def counting_match_batch(
             run.resolve_chunk(chunk_stop - chunk_start, pos_pairs, neg_pairs)
         )
     run.finish(count, started)
-    return results
-
-
-def counting_match_batch_rowwise(
-    matcher: "CountingMatcher", events: Events
-) -> List[List[int]]:
-    """Match a batch with per-event index probes (reference path).
-
-    Identical results and statistics to :func:`counting_match_batch`;
-    the probes loop over events in Python and only the candidate test is
-    batch-vectorized.  Kept as the benchmark baseline and equivalence
-    reference for the columnar probe.
-    """
-    started = time.perf_counter()
-    event_list = EventBatch.coerce(events).events
-    run = _BatchRun(matcher)
-    results: List[List[int]] = []
-    chunk_size = _chunk_size(
-        run.slot_count, run.entry_capacity + run.tree_node_count
-    )
-    for chunk_start in range(0, len(event_list), chunk_size):
-        chunk = event_list[chunk_start:chunk_start + chunk_size]
-        pos_pairs: tuple = ([], [])
-        neg_pairs: tuple = ([], [])
-        for row, event in enumerate(chunk):
-            positives: List[np.ndarray] = []
-            negatives: List[np.ndarray] = []
-            for attribute, value in event.items():
-                matcher._indexes.collect(attribute, value, positives, negatives)
-            for array in positives:
-                if len(array):
-                    pos_pairs[0].append(np.full(len(array), row, dtype=np.int64))
-                    pos_pairs[1].append(array)
-            for array in negatives:
-                if len(array):
-                    neg_pairs[0].append(np.full(len(array), row, dtype=np.int64))
-                    neg_pairs[1].append(array)
-        results.extend(run.resolve_chunk(len(chunk), pos_pairs, neg_pairs))
-    run.finish(len(event_list), started)
     return results

@@ -26,27 +26,28 @@ entry ids come from free lists and are recycled; :meth:`rebuild` survives
 as compaction that re-packs both id spaces in subscription-id order, and
 runs automatically when unregistration leaves the free lists holding
 more than ``compact_free_fraction`` of the live population (long churny
-lifetimes would otherwise fragment the slot/entry arrays).  Batches of
-events go through :meth:`CountingMatcher.match_batch`
-(:mod:`repro.matching.batch`), which probes the indexes once per batch
-over the batch's columnar view and evaluates the candidate test for the
-whole batch with one 2-D bincount instead of per-event 1-D passes.
-General trees are additionally compiled into flat per-tree arrays
-(:mod:`repro.matching.treeval`, updated by the same incremental churn)
-from which the batch path evaluates every tree against every event of
-a chunk at once; the recursive ``_evaluate_compiled`` is the per-event
-path's evaluator and the batch path's test oracle.
-"""
+lifetimes would otherwise fragment the slot/entry arrays).
 
+Matching has one pipeline, :meth:`CountingMatcher.match_batch`
+(:mod:`repro.matching.batch`): it probes the indexes once per batch over
+the batch's columnar view and runs the candidate test for the whole
+batch with one 2-D bincount.  General trees are compiled into flat
+per-tree arrays (:mod:`repro.matching.treeval`, updated by the same
+incremental churn) from which every tree is evaluated against every
+event of a chunk at once.  :meth:`CountingMatcher.match` is a one-row
+batch.  The recursive ``_evaluate_compiled`` evaluates one nested-tuple
+program against one flag vector; it is the test oracle of the columnar
+tree evaluator.
+"""
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.errors import MatchingError
 from repro.events import Event, EventBatch
+from repro.matching.batch import _BatchRun, counting_match_batch
 from repro.matching.interfaces import Matcher
 from repro.matching.predicate_index import PredicateIndexSet
 from repro.matching.stats import MatchStatistics
@@ -125,19 +126,17 @@ def _evaluate_compiled(program: Tuple, flags: np.ndarray) -> bool:
 class _SlotState:
     """Per-subscription compiled state inside the engine."""
 
-    __slots__ = ("subscription", "kind", "program", "entries", "predicates")
+    __slots__ = ("subscription", "kind", "entries", "predicates")
 
     def __init__(
         self,
         subscription: Subscription,
         kind: int,
-        program: Optional[Tuple],
         entries: List[int],
         predicates: List[Predicate],
     ) -> None:
         self.subscription = subscription
         self.kind = kind
-        self.program = program
         self.entries = entries
         self.predicates = predicates
 
@@ -234,7 +233,7 @@ class CountingMatcher(Matcher):
                 leaf_predicates.append(node.predicate)
         kind, program = self._classify(tree, leaf_entries)
         self._slots[slot] = _SlotState(
-            subscription, kind, program, leaf_entries, leaf_predicates
+            subscription, kind, leaf_entries, leaf_predicates
         )
         self._slot_ids[slot] = subscription.id
         self._pmin[slot] = min(subscription.pmin, PMIN_UNSATISFIABLE)
@@ -337,57 +336,8 @@ class CountingMatcher(Matcher):
     # -- matching ---------------------------------------------------------------
 
     def match(self, event: Event) -> List[int]:
-        started = time.perf_counter()
-        positives: List[np.ndarray] = []
-        negatives: List[np.ndarray] = []
-        for attribute, value in event.items():
-            self._indexes.collect(attribute, value, positives, negatives)
-
-        slot_count = len(self._slots)
-        entry_capacity = self._indexes.entry_capacity
-        flags = np.zeros(entry_capacity, dtype=bool)
-        counts = np.zeros(slot_count, dtype=np.int64)
-        entry_slot = self._entry_slot[:entry_capacity]
-        if positives:
-            hit_entries = np.concatenate(positives)
-            flags[hit_entries] = True
-            counts = np.bincount(
-                entry_slot[hit_entries], minlength=slot_count
-            ).astype(np.int64)
-        if negatives:
-            miss_entries = np.concatenate(negatives)
-            flags[miss_entries] = False
-            counts -= np.bincount(
-                entry_slot[miss_entries], minlength=slot_count
-            )
-
-        fulfilled_total = int(counts.sum()) if slot_count else 0
-        matched: List[int] = []
-        pmin = self._pmin[:slot_count]
-        candidates = np.nonzero(counts >= pmin)[0] if slot_count else []
-        candidate_count = 0
-        evaluations = 0
-        for slot in candidates:
-            state = self._slots[slot]
-            candidate_count += 1
-            kind = state.kind
-            if kind == _KIND_TREE:
-                evaluations += 1
-                if _evaluate_compiled(state.program, flags):
-                    matched.append(int(self._slot_ids[slot]))
-            elif kind != _KIND_FALSE:
-                # TRUE, SINGLE, FLAT_AND, FLAT_OR: reaching pmin decides.
-                matched.append(int(self._slot_ids[slot]))
-        matched.sort()
-
-        stats = self.statistics
-        stats.events += 1
-        stats.matches += len(matched)
-        stats.candidates += candidate_count
-        stats.tree_evaluations += evaluations
-        stats.fulfilled_predicates += fulfilled_total
-        stats.elapsed_seconds += time.perf_counter() - started
-        return matched
+        """Match one event: a one-row :meth:`match_batch`."""
+        return self.match_batch([event])[0]
 
     def match_batch(
         self, events: Union[Sequence[Event], EventBatch]
@@ -398,8 +348,6 @@ class CountingMatcher(Matcher):
         passing an :class:`~repro.events.EventBatch` lets consecutive
         matchers (e.g. brokers along a path) share one columnarization.
         """
-        from repro.matching.batch import counting_match_batch
-
         return counting_match_batch(self, events)
 
     # -- introspection ----------------------------------------------------------
@@ -420,24 +368,17 @@ class CountingMatcher(Matcher):
         return self._negated_entry_count
 
     def fulfilled_counts(self, event: Event) -> Dict[int, int]:
-        """Fulfilled-predicate count per subscription id (diagnostics)."""
-        positives: List[np.ndarray] = []
-        negatives: List[np.ndarray] = []
-        for attribute, value in event.items():
-            self._indexes.collect(attribute, value, positives, negatives)
-        slot_count = len(self._slots)
-        entry_slot = self._entry_slot[: self._indexes.entry_capacity]
-        counts = np.zeros(slot_count, dtype=np.int64)
-        if positives:
-            counts = np.bincount(
-                entry_slot[np.concatenate(positives)],
-                minlength=slot_count,
-            ).astype(np.int64)
-        if negatives:
-            counts -= np.bincount(
-                entry_slot[np.concatenate(negatives)],
-                minlength=slot_count,
-            )
+        """Fulfilled-predicate count per subscription id (diagnostics).
+
+        Runs the batch path's probe and count assembly on a one-row
+        batch, so it counts exactly what :meth:`match_batch` counts.
+        """
+        pos_pairs: tuple = ([], [])
+        neg_pairs: tuple = ([], [])
+        self._indexes.collect_batch(
+            EventBatch([event]).columns(), pos_pairs, neg_pairs
+        )
+        _flags, counts = _BatchRun(self).assemble_chunk(1, pos_pairs, neg_pairs)
         return {
-            sub_id: int(counts[slot]) for sub_id, slot in self._slot_of.items()
+            sub_id: int(counts[0, slot]) for sub_id, slot in self._slot_of.items()
         }

@@ -1,10 +1,11 @@
 """Per-attribute predicate indexes for the counting engine.
 
 Every registered predicate instance becomes an *entry* (an integer id) in
-the index of its attribute.  At match time the index answers, for one
-event attribute value, which entries are fulfilled — as numpy arrays of
-entry ids, so the caller can count fulfilled predicates per subscription
-with vectorized ``bincount`` operations.
+the index of its attribute.  At match time the index answers, for a
+column of event attribute values, which entries each row fulfils — as
+aligned numpy ``(row, entry)`` pair arrays, so the caller can count
+fulfilled predicates per (event, subscription) with one vectorized
+``bincount``.
 
 Negated operators (``!=``, ``not-in``, ``not-prefix``, ``not-contains``)
 are almost always fulfilled when the attribute is present, so enumerating
@@ -20,26 +21,24 @@ O(touched buckets), not O(index).  Entry ids are allocated by
 :class:`PredicateIndexSet` from a free list so long-lived engines do not
 grow their id space under churn.
 
-Indexes answer in two granularities:
+There is one probe, :meth:`AttributeIndex.collect_batch`, over a whole
+:class:`~repro.events.AttributeColumn`.  Range probes run as a single
+vectorized ``searchsorted`` over the column's value array,
+equality/membership probes as one dictionary lookup per *distinct*
+value, so there is no per-event Python loop.  A single event is a
+one-row column.
 
-* :meth:`AttributeIndex.collect` probes for **one** event value and
-  appends fulfilled-entry arrays;
-* :meth:`AttributeIndex.collect_batch` probes for a whole
-  :class:`~repro.events.AttributeColumn` at once and appends aligned
-  ``(row, entry)`` pair arrays.  Range probes run as a single vectorized
-  ``searchsorted`` over the column's value array, equality/membership
-  probes as one dictionary lookup per *distinct* value, so the per-event
-  Python loop disappears from the batch hot path.
-
+>>> from repro.events import Event, EventBatch
 >>> from repro.subscriptions.predicates import Operator, Predicate
 >>> index_set = PredicateIndexSet()
 >>> entry = index_set.add(Predicate("price", Operator.LE, 10))
->>> positives, negatives = [], []
->>> index_set.collect("price", 7, positives, negatives)
->>> [array.tolist() for array in positives]
-[[0]]
+>>> columns = EventBatch([Event({"price": 7}), Event({"price": 12})]).columns()
+>>> positives, negatives = ([], []), ([], [])
+>>> index_set.collect_batch(columns, positives, negatives)
+>>> rows, entries = positives
+>>> [array.tolist() for array in rows], [array.tolist() for array in entries]
+([[0]], [[0]])
 """
-
 from __future__ import annotations
 
 import bisect
@@ -147,7 +146,8 @@ class _SortedConstants:
     """Constants of one ordered operator over one value kind, sorted.
 
     Suffix/prefix slices of the aligned entry array are exactly the
-    fulfilled entries for a probe value (see ``collect``).  The sorted
+    fulfilled entries for a probe value (see
+    :meth:`_OrderedOps.collect_batch_numeric`).  The sorted
     pair list is maintained incrementally with ``bisect``; the aligned
     numpy arrays are re-materialized lazily after a mutation.
     """
@@ -202,14 +202,13 @@ class _SortedConstants:
 class _OrderedOps:
     """The four range operators for one value kind (numeric or string)."""
 
-    __slots__ = ("lt", "le", "gt", "ge", "numeric")
+    __slots__ = ("lt", "le", "gt", "ge")
 
     def __init__(self, numeric: bool) -> None:
         self.lt = _SortedConstants(numeric)
         self.le = _SortedConstants(numeric)
         self.gt = _SortedConstants(numeric)
         self.ge = _SortedConstants(numeric)
-        self.numeric = numeric
 
     def for_operator(self, operator: Operator) -> _SortedConstants:
         if operator is Operator.LT:
@@ -220,35 +219,23 @@ class _OrderedOps:
             return self.gt
         return self.ge
 
-    def _split(self, bucket: _SortedConstants, value: Value, side: str) -> int:
-        if self.numeric:
-            return int(np.searchsorted(bucket.constants, value, side=side))
+    @staticmethod
+    def _split(bucket: _SortedConstants, value: str, side: str) -> int:
         if side == "left":
             return bisect.bisect_left(bucket.constants, value)
         return bisect.bisect_right(bucket.constants, value)
 
-    def collect(self, value: Value, positives: List[np.ndarray]) -> None:
-        """Append fulfilled range entries for probe ``value``.
+    def collect_batch_numeric(
+        self, rows: np.ndarray, values: np.ndarray, out: PairLists
+    ) -> None:
+        """Vectorized range probe: one ``searchsorted`` per bucket for the
+        whole value column.
 
         attr < c  holds iff c > v: suffix after the last constant <= v.
         attr <= c holds iff c >= v: suffix from the first constant >= v.
         attr > c  holds iff c < v: prefix before the first constant >= v.
         attr >= c holds iff c <= v: prefix through the last constant <= v.
         """
-        if len(self.lt):
-            positives.append(self.lt.entries[self._split(self.lt, value, "right"):])
-        if len(self.le):
-            positives.append(self.le.entries[self._split(self.le, value, "left"):])
-        if len(self.gt):
-            positives.append(self.gt.entries[: self._split(self.gt, value, "left")])
-        if len(self.ge):
-            positives.append(self.ge.entries[: self._split(self.ge, value, "right")])
-
-    def collect_batch_numeric(
-        self, rows: np.ndarray, values: np.ndarray, out: PairLists
-    ) -> None:
-        """Vectorized range probe: one ``searchsorted`` per bucket for the
-        whole value column (see :meth:`collect` for the slice semantics)."""
         if len(self.lt):
             splits = np.searchsorted(self.lt.constants, values, side="right")
             count = len(self.lt)
@@ -276,11 +263,12 @@ class _OrderedOps:
                 np.zeros(len(splits), dtype=np.int64), splits, out,
             )
 
-    def collect_cross(self, value: Value, rows: np.ndarray, out: PairLists) -> None:
-        """Range probe for one distinct value shared by ``rows``.
+    def collect_cross(self, value: str, rows: np.ndarray, out: PairLists) -> None:
+        """Range probe for one distinct string value shared by ``rows``.
 
-        Used for string columns, where rows are grouped by distinct value
-        first; the per-value bisect then runs once per distinct value.
+        String columns group rows by distinct value first, so the bisect
+        runs once per distinct value (slice semantics as in
+        :meth:`collect_batch_numeric`).
         """
         if len(self.lt):
             _emit_cross(
@@ -456,78 +444,14 @@ class AttributeIndex:
             raise MatchingError("unsupported operator %r" % operator)
         self._live -= 1
 
-    def finalize(self) -> None:
-        """Deprecated no-op, kept for API compatibility.
-
-        Indexes are incrementally maintained and always queryable; there
-        is no build step to trigger anymore.
-        """
-
-    def collect(
-        self,
-        value: Value,
-        positives: List[np.ndarray],
-        negatives: List[np.ndarray],
-    ) -> None:
-        """Append fulfilled-entry arrays for event value ``value``.
-
-        ``positives`` minus ``negatives`` (as multisets) is exactly the set
-        of fulfilled entries; every entry appears at most once in the net
-        result.
-        """
-        key = value_key(value)
-        hit = self._eq.get(key)
-        if hit is not None:
-            positives.append(hit.array)
-        if len(self._ne_all):
-            positives.append(self._ne_all.array)
-            excluded = self._ne_by_value.get(key)
-            if excluded is not None:
-                negatives.append(excluded.array)
-        if isinstance(value, bool):
-            return  # booleans only support (in)equality
-        if isinstance(value, str):
-            self._string.collect(value, positives)
-            for length, bucket in self._prefix_by_length.items():
-                if length <= len(value):
-                    hit = bucket.get(value[:length])
-                    if hit is not None:
-                        positives.append(hit.array)
-            if len(self._not_prefix_all):
-                positives.append(self._not_prefix_all.array)
-                for length, bucket in self._not_prefix_by_length.items():
-                    if length <= len(value):
-                        excluded = bucket.get(value[:length])
-                        if excluded is not None:
-                            negatives.append(excluded.array)
-            if self._contains:
-                hits = [
-                    entry
-                    for entry, needle in self._contains.items()
-                    if needle in value
-                ]
-                if hits:
-                    positives.append(np.array(hits, dtype=np.int64))
-            if len(self._not_contains_all):
-                positives.append(self._not_contains_all.array)
-                misses = [
-                    entry
-                    for entry, needle in self._not_contains.items()
-                    if needle in value
-                ]
-                if misses:
-                    negatives.append(np.array(misses, dtype=np.int64))
-        else:
-            self._numeric.collect(float(value), positives)
-
     def collect_batch(
         self, column: AttributeColumn, positives: PairLists, negatives: PairLists
     ) -> None:
         """Probe all buckets once for a whole attribute column.
 
-        Appends aligned ``(row, entry)`` pair arrays; positives minus
-        negatives (as per-row multisets) is exactly the per-event result
-        of :meth:`collect` for each row of the column.
+        Appends aligned ``(row, entry)`` pair arrays.  Positives minus
+        negatives, as per-row multisets, are exactly the entries whose
+        predicate holds for that row's value, each at most once.
 
         ``column.groups()`` (a per-row Python grouping pass, cached on
         the column) is only built when an eq/ne/string bucket actually
@@ -680,22 +604,6 @@ class PredicateIndexSet:
             del self._by_attribute[predicate.attribute]
         self._free_entries.append(entry)
         self._live -= 1
-
-    def finalize(self) -> None:
-        """Deprecated no-op, kept for API compatibility (see
-        :meth:`AttributeIndex.finalize`)."""
-
-    def collect(
-        self,
-        attribute: str,
-        value: Value,
-        positives: List[np.ndarray],
-        negatives: List[np.ndarray],
-    ) -> None:
-        """Collect fulfilled entries for one event attribute."""
-        index = self._by_attribute.get(attribute)
-        if index is not None:
-            index.collect(value, positives, negatives)
 
     def collect_batch(
         self, columns: EventColumns, positives: PairLists, negatives: PairLists

@@ -347,19 +347,8 @@ class ShardedMatcher(Matcher):
     # -- matching -------------------------------------------------------------
 
     def match(self, event: Event) -> List[int]:
-        if self._processes:
-            return self.match_batch(EventBatch([event]))[0]
-        with self._lock:
-            # Timed inside the lock: a caller's queue wait is not
-            # matching work, and must not inflate ``elapsed_seconds``
-            # (brokers report it as filtering time).
-            started = time.perf_counter()
-            before = self._counter_totals()
-            merged = sorted(
-                sub_id for matcher in self._matchers for sub_id in matcher.match(event)
-            )
-            self._account(1, self._deltas_since(before), started)
-        return merged
+        """Match one event: a one-row :meth:`match_batch`."""
+        return self.match_batch(EventBatch([event]))[0]
 
     def match_batch(
         self, events: Union[Sequence[Event], EventBatch]

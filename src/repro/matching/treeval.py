@@ -2,11 +2,13 @@
 
 The counting engine decides most candidates with the fulfilled-predicate
 counter alone; only *general* Boolean trees need evaluating against the
-per-entry truth flags.  Per event the recursive ``_evaluate_compiled``
-does that; in the batch path :class:`TreePrograms` evaluates **every**
+per-entry truth flags.  :class:`TreePrograms` evaluates **every**
 compiled tree against **every** row of a chunk in a fixed handful of
 numpy calls, and the caller reads the verdicts of the (row, tree)
-pairs it needs from the root rows.
+pairs it needs from the root rows.  The recursive
+``_evaluate_compiled`` in :mod:`repro.matching.counting` evaluates one
+tree against one flag vector and serves only as this evaluator's test
+oracle.
 
 Each tree, once compiled, keeps only its own flat preorder arrays:
 opcode, height (leaves are 0, an internal node sits one above its

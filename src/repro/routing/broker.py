@@ -200,20 +200,15 @@ class Broker:
 
     # -- matching ----------------------------------------------------------------
 
-    def route(self, event: Event, exclude: Optional[str] = None) -> Dict[Interface, List[int]]:
-        """Match ``event`` and group fulfilled entries by interface.
-
-        ``exclude`` suppresses the broker interface the event arrived from
-        (events are never sent back where they came from).
-        """
-        return self._group_by_interface(self.matcher.match(event), exclude)
-
     def route_batch(
         self,
         events: Union[Sequence[Event], EventBatch],
         exclude: Optional[str] = None,
     ) -> List[Dict[Interface, List[int]]]:
         """Match a whole event batch; one interface grouping per event.
+
+        ``exclude`` suppresses the broker interface the events arrived
+        from (events are never sent back where they came from).
 
         Matching runs through the engine's vectorized batch path, so
         forwarding brokers pay one index probe and one candidate test

@@ -14,6 +14,10 @@ Semantics
   exactly semantics-preserving.
 * Ordered comparisons apply to numbers and to strings (lexicographically),
   but never across the two kinds; a kind mismatch is unfulfilled.
+* NaN is refused, both as a predicate constant (here) and as an event
+  value (:class:`~repro.events.Event`): it is unordered, so the range
+  indexes could not agree with :meth:`Predicate.test` on it.  ``±inf``
+  are ordinary numbers.
 """
 
 from __future__ import annotations
@@ -149,6 +153,8 @@ class Predicate:
             for member in value:
                 if not isinstance(member, (str, int, float, bool)):
                     raise SubscriptionError("unsupported set member type")
+                if member != member:
+                    raise SubscriptionError("set members must not be NaN")
             return value
         if operator.is_string_only and not isinstance(value, str):
             raise SubscriptionError(
@@ -158,6 +164,8 @@ class Predicate:
             raise SubscriptionError("unsupported predicate value type")
         if operator.is_ordered and isinstance(value, bool):
             raise SubscriptionError("ordered comparisons are undefined for booleans")
+        if value != value:
+            raise SubscriptionError("predicate value must not be NaN")
         return value
 
     def evaluate(self, event: Event) -> bool:

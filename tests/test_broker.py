@@ -38,7 +38,7 @@ class TestWiring:
 class TestEntries:
     def test_add_and_route_client_entry(self, broker):
         broker.add_entry(sub(1, P("a") == 1), Interface.client("alice"))
-        routed = broker.route(Event({"a": 1}))
+        routed = broker.route_batch([Event({"a": 1})])[0]
         assert routed == {Interface.client("alice"): [1]}
 
     def test_add_broker_entry_requires_neighbor(self, broker):
@@ -54,7 +54,7 @@ class TestEntries:
         broker.add_entry(sub(1, P("a") == 1), Interface.client("alice"))
         interface = broker.remove_entry(1)
         assert interface == Interface.client("alice")
-        assert broker.route(Event({"a": 1})) == {}
+        assert broker.route_batch([Event({"a": 1})])[0] == {}
 
     def test_remove_unknown_rejected(self, broker):
         with pytest.raises(RoutingError):
@@ -63,7 +63,7 @@ class TestEntries:
     def test_route_excludes_origin_interface(self, broker):
         broker.add_entry(sub(1, P("a") == 1), Interface.broker("b1"))
         broker.add_entry(sub(2, P("a") == 1), Interface.broker("b2"))
-        routed = broker.route(Event({"a": 1}), exclude="b1")
+        routed = broker.route_batch([Event({"a": 1})], exclude="b1")[0]
         assert Interface.broker("b1") not in routed
         assert routed[Interface.broker("b2")] == [2]
 
@@ -78,7 +78,7 @@ class TestPruning:
         original = sub(1, And(P("a") == 1, P("b") == 2))
         broker.add_entry(original, Interface.broker("b1"))
         broker.prune_entry(1, normalize(P("a") == 1))
-        assert broker.route(Event({"a": 1}))[Interface.broker("b1")] == [1]
+        assert broker.route_batch([Event({"a": 1})])[0][Interface.broker("b1")] == [1]
         entry = broker.entries[1]
         assert entry.is_pruned
         assert entry.original is original
@@ -97,7 +97,7 @@ class TestPruning:
         broker.prune_entry(1, normalize(P("a") == 1))
         broker.restore_entry(1)
         assert not broker.entries[1].is_pruned
-        assert broker.route(Event({"a": 1})) == {}
+        assert broker.route_batch([Event({"a": 1})])[0] == {}
 
     def test_non_local_entries(self, broker):
         broker.add_entry(sub(1, P("a") == 1), Interface.client("alice"))
@@ -124,7 +124,7 @@ class TestAccounting:
 
     def test_filter_seconds_accumulate(self, broker):
         broker.add_entry(sub(1, P("a") == 1), Interface.client("c"))
-        broker.route(Event({"a": 1}))
+        broker.route_batch([Event({"a": 1})])
         assert broker.filter_seconds > 0
         broker.reset_statistics()
         assert broker.filter_seconds == 0

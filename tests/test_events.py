@@ -31,6 +31,14 @@ class TestEventConstruction:
     def test_empty_event_is_allowed(self):
         assert len(Event({})) == 0
 
+    def test_rejects_nan_value(self):
+        with pytest.raises(TypeError):
+            Event({"a": float("nan")})
+
+    def test_accepts_infinities(self):
+        event = Event({"lo": float("-inf"), "hi": float("inf")})
+        assert event["hi"] == float("inf")
+
 
 class TestEventMapping:
     def test_contains(self):

@@ -1,22 +1,25 @@
 """Fuzz the attribute index against direct predicate evaluation.
 
 Property: for any set of registered predicates on one attribute and any
-probe value, the index's net fulfilled entries (positives minus
-negatives) are exactly the entries whose predicate accepts the value.
-This is the correctness core of the counting engine, independent of
-subscription structure.
+column of probe values, the batched probe ``collect_batch`` reports, per
+row, net fulfilled entries (positives minus negatives) that are exactly
+the entries whose predicate accepts that row's value.  Columns mix
+numeric, string and boolean values, so every kind split of the column is
+probed at once.  This is the correctness core of the counting engine,
+independent of subscription structure.
 
 The same corpus also drives the full engines (parametrized over the
-unsharded counting matcher and the sharded path, serial and threaded):
-single-predicate subscriptions over random predicates, matched against
-random events under unregister/replace churn, must agree with direct
-per-predicate evaluation.
+unsharded counting matcher and the sharded path, serial and process
+workers): single-predicate subscriptions over random predicates,
+matched against random events under unregister/replace churn, must
+agree with direct per-predicate evaluation.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.events import Event, EventBatch
 from repro.matching.predicate_index import AttributeIndex
 from repro.subscriptions.nodes import PredicateLeaf
 from repro.subscriptions.subscription import Subscription
@@ -24,61 +27,60 @@ from repro.subscriptions.subscription import Subscription
 from tests import strategies
 
 
-def _net_entries(index, value):
-    positives, negatives = [], []
-    index.collect(value, positives, negatives)
-    flat_pos = [int(x) for array in positives for x in array]
-    result = list(flat_pos)
-    for array in negatives:
-        for entry in array:
-            result.remove(int(entry))
-    return sorted(result)
+def _check_index(predicates, values, attribute):
+    """Register ``predicates`` (rebased onto ``attribute``) and probe one
+    column holding ``values``; every row must net exactly the entries
+    whose predicate accepts its value."""
+    index = AttributeIndex(attribute)
+    rebased = []
+    for entry, predicate in enumerate(predicates):
+        rebased.append(
+            type(predicate)(attribute, predicate.operator, predicate.value)
+        )
+        index.add(rebased[-1], entry)
+    batch = EventBatch([Event({attribute: value}) for value in values])
+    positives, negatives = ([], []), ([], [])
+    index.collect_batch(batch.columns().column(attribute), positives, negatives)
+    net = [[] for _ in values]
+    for rows, entries in zip(*positives):
+        for row, entry in zip(rows.tolist(), entries.tolist()):
+            net[row].append(entry)
+    for rows, entries in zip(*negatives):
+        for row, entry in zip(rows.tolist(), entries.tolist()):
+            net[row].remove(entry)
+    for row, value in enumerate(values):
+        expected = [
+            entry
+            for entry, predicate in enumerate(rebased)
+            if predicate.test(value)
+        ]
+        assert sorted(net[row]) == expected, (value, rebased)
+
+
+def _columns(values):
+    """Multi-row probe columns drawn from ``values``."""
+    return st.lists(st.sampled_from(values), min_size=1, max_size=8)
 
 
 @given(
     st.lists(strategies.numeric_predicates(), min_size=1, max_size=12),
-    st.sampled_from(strategies.NUMERIC_VALUES + [True, False, "zap"]),
+    _columns(
+        strategies.NUMERIC_VALUES
+        + [float("inf"), float("-inf"), True, False, "zap"]
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_numeric_attribute_index_matches_direct_evaluation(predicates, value):
-    attribute = "na"
-    index = AttributeIndex(attribute)
-    rebased = []
-    for entry, predicate in enumerate(predicates):
-        rebased.append(
-            type(predicate)(attribute, predicate.operator, predicate.value)
-        )
-        index.add(rebased[-1], entry)
-    index.finalize()
-    expected = sorted(
-        entry
-        for entry, predicate in enumerate(rebased)
-        if predicate.test(value)
-    )
-    assert _net_entries(index, value) == expected
+def test_numeric_attribute_index_matches_direct_evaluation(predicates, values):
+    _check_index(predicates, values, "na")
 
 
 @given(
     st.lists(strategies.string_predicates(), min_size=1, max_size=12),
-    st.sampled_from(strategies.STRING_VALUES + [3, True]),
+    _columns(strategies.STRING_VALUES + [3, 2.5, True]),
 )
 @settings(max_examples=200, deadline=None)
-def test_string_attribute_index_matches_direct_evaluation(predicates, value):
-    attribute = "sa"
-    index = AttributeIndex(attribute)
-    rebased = []
-    for entry, predicate in enumerate(predicates):
-        rebased.append(
-            type(predicate)(attribute, predicate.operator, predicate.value)
-        )
-        index.add(rebased[-1], entry)
-    index.finalize()
-    expected = sorted(
-        entry
-        for entry, predicate in enumerate(rebased)
-        if predicate.test(value)
-    )
-    assert _net_entries(index, value) == expected
+def test_string_attribute_index_matches_direct_evaluation(predicates, values):
+    _check_index(predicates, values, "sa")
 
 
 @pytest.mark.parametrize(
@@ -134,22 +136,8 @@ def test_matchers_track_direct_predicate_evaluation(
 
 @given(
     st.lists(strategies.bool_predicates(), min_size=1, max_size=8),
-    st.sampled_from([True, False, 0, 1, "x"]),
+    _columns([True, False, 0, 1, "x"]),
 )
 @settings(max_examples=100, deadline=None)
-def test_bool_attribute_index_matches_direct_evaluation(predicates, value):
-    attribute = "ba"
-    index = AttributeIndex(attribute)
-    rebased = []
-    for entry, predicate in enumerate(predicates):
-        rebased.append(
-            type(predicate)(attribute, predicate.operator, predicate.value)
-        )
-        index.add(rebased[-1], entry)
-    index.finalize()
-    expected = sorted(
-        entry
-        for entry, predicate in enumerate(rebased)
-        if predicate.test(value)
-    )
-    assert _net_entries(index, value) == expected
+def test_bool_attribute_index_matches_direct_evaluation(predicates, values):
+    _check_index(predicates, values, "ba")

@@ -1,23 +1,27 @@
-"""Property tests: batch matching ≡ per-event matching ≡ naive oracle,
-with the counting engine maintained **incrementally** (no rebuild calls)
-under interleaved register/unregister/replace churn.
+"""Property tests: batch matching ≡ naive oracle, with the counting
+engine maintained **incrementally** (no rebuild calls) under interleaved
+register/unregister/replace churn.
 
-These are the correctness contract of the batch-vectorized pipeline:
-``CountingMatcher.match_batch`` must produce exactly the match sets of
-sequential ``match`` calls and of the loop-based ``NaiveMatcher`` path,
-at every point of an arbitrary churn history.
+These are the correctness contract of the counting engine's one
+matching pipeline: ``CountingMatcher.match_batch`` (and ``match``, a
+batch of one) must produce exactly the match sets of the loop-based
+``NaiveMatcher``, and the ``MatchStatistics`` counters of the
+independent oracle in ``tests/stats_oracle.py``, at every point of an
+arbitrary churn history.
 """
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import EventBatch
-from repro.matching.batch import counting_match_batch_rowwise
 from repro.matching.counting import CountingMatcher
 from repro.matching.naive import NaiveMatcher
 from repro.subscriptions.subscription import Subscription
 
 from tests import strategies
+from tests.stats_oracle import counters, statistics_oracle
 
 #: Churn op codes drawn by the stateful property below.
 _OP_REGISTER = "register"
@@ -37,12 +41,13 @@ def churn_ops():
     )
 
 
-def apply_churn(ops):
+def apply_churn(ops, after_each=None):
     """Apply ``ops`` to a counting engine and a naive oracle in lockstep.
 
     Register/replace/unregister are resolved against the currently live
     id set so every drawn op is applicable; ids are never recycled, which
-    exercises the engines' slot/entry free lists.
+    exercises the engines' slot/entry free lists.  ``after_each(counting,
+    oracle)``, when given, runs after every op.
     """
     counting = CountingMatcher()
     oracle = NaiveMatcher()
@@ -65,6 +70,8 @@ def apply_churn(ops):
             target = live.pop()
             counting.unregister(target)
             oracle.unregister(target)
+        if after_each is not None:
+            after_each(counting, oracle)
     return counting, oracle
 
 
@@ -103,17 +110,18 @@ def test_incremental_engine_tracks_oracle_under_churn(ops, events):
 @given(churn_ops(), st.lists(strategies.events(), min_size=1, max_size=6))
 @settings(max_examples=120, deadline=None)
 def test_columnar_probe_equals_per_event_match_under_churn(ops, events):
-    """Columnar ``match_batch`` ≡ per-event ``match`` ≡ rowwise probe.
+    """Columnar ``match_batch`` ≡ per-event ``match`` (one-row batches)
+    ≡ the naive oracle.
 
     The strategies draw events with ~80% attribute presence, so the
     columnar presence rows (missing-attribute semantics) are exercised,
     and churn fragments the slot/entry id spaces the probes write into.
     """
-    counting, _oracle = apply_churn(ops)
+    counting, oracle = apply_churn(ops)
     batch = EventBatch(events)
     columnar = counting.match_batch(batch)
+    assert columnar == [sorted(oracle.match(event)) for event in events]
     assert columnar == [counting.match(event) for event in events]
-    assert columnar == counting_match_batch_rowwise(counting, events)
     # Sub-batch columns derived by row selection agree with columns
     # built from the picked events directly.
     positions = list(range(0, len(events), 2))
@@ -172,36 +180,30 @@ def test_columnar_chunking_is_invisible(trees, events):
     batch_module._MAX_CHUNK = 3
     try:
         assert counting.match_batch(EventBatch(events)) == expected
-        assert counting_match_batch_rowwise(counting, events) == expected
     finally:
         batch_module._MAX_CHUNK = original
-
-
-def _statistics_tuple(matcher):
-    stats = matcher.statistics
-    return (stats.events, stats.matches, stats.candidates,
-            stats.tree_evaluations, stats.fulfilled_predicates)
 
 
 @given(churn_ops(), st.lists(strategies.events(), min_size=1, max_size=6))
 @settings(max_examples=100, deadline=None)
 def test_vectorized_tree_fallback_equals_scalar_under_churn(ops, events):
-    """Whole-program tree evaluation in ``match_batch`` ≡ the per-event
-    ``match`` (the recursive ``_evaluate_compiled``) ≡ the naive oracle,
-    with bit-identical statistics.
+    """Whole-program tree evaluation in ``match_batch`` ≡ the naive
+    oracle, with the statistics oracle's counters.
 
     Two engines built through the same churn history answer the same
-    events, one as a batch and one per event; both must agree with the
-    oracle on match sets and with each other on (events, matches,
-    candidates, tree_evaluations, fulfilled_predicates).
+    events, one as one batch and one as one-row batches; both must agree
+    with the oracle on match sets and on (events, matches, candidates,
+    tree_evaluations, fulfilled_predicates).
     """
     batch_engine, oracle = apply_churn(ops)
     per_event_engine, _ = apply_churn(ops)
     batched = batch_engine.match_batch(EventBatch(events))
     per_event = [per_event_engine.match(event) for event in events]
-    assert batched == per_event
     assert batched == [sorted(oracle.match(event)) for event in events]
-    assert _statistics_tuple(batch_engine) == _statistics_tuple(per_event_engine)
+    assert per_event == batched
+    expected = statistics_oracle(oracle.subscriptions().values(), events)
+    assert counters(batch_engine.statistics) == expected
+    assert counters(per_event_engine.statistics) == expected
 
 
 @given(
@@ -249,8 +251,8 @@ def test_pruned_trees_vectorize_equivalently(ops, events):
 
 
 def test_trees_deeper_than_64_levels_compile_and_match():
-    """Every general tree compiles, however deep; the batch path still
-    matches the per-event path and the naive oracle."""
+    """Every general tree compiles, however deep; the batch path and
+    per-event ``match`` still match the naive oracle."""
     from repro.events import Event
     from repro.subscriptions.builder import And, Or, P
 
@@ -309,18 +311,37 @@ def test_flags_matrix_skipped_for_flat_only_tables():
 
 def test_batch_statistics_match_sequential(workload, auction_events,
                                            auction_subscriptions):
-    """Batch and sequential paths account identical statistics."""
+    """One batch and one-row batches account the oracle's statistics."""
     events = auction_events.events[:100]
+    subscriptions = auction_subscriptions[:80]
     sequential = CountingMatcher()
     batched = CountingMatcher()
-    for subscription in auction_subscriptions[:80]:
+    for subscription in subscriptions:
         sequential.register(subscription)
         batched.register(subscription)
     for event in events:
         sequential.match(event)
     batched.match_batch(events)
-    a, b = sequential.statistics, batched.statistics
-    assert (a.events, a.matches, a.candidates, a.tree_evaluations,
-            a.fulfilled_predicates) == (
-        b.events, b.matches, b.candidates, b.tree_evaluations,
-        b.fulfilled_predicates)
+    expected = statistics_oracle(subscriptions, events)
+    assert counters(sequential.statistics) == expected
+    assert counters(batched.statistics) == expected
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64])
+@given(churn_ops(), st.lists(strategies.events(), min_size=1, max_size=8))
+@settings(max_examples=25, deadline=None)
+def test_statistics_equal_independent_oracle_under_churn(batch_size, ops, events):
+    """After every churn op, one batch of ``batch_size`` events adds
+    exactly the statistics oracle's counters."""
+    batch = [events[row % len(events)] for row in range(batch_size)]
+
+    def check(counting, oracle):
+        counting.statistics.reset()
+        assert counting.match_batch(batch) == [
+            sorted(oracle.match(event)) for event in batch
+        ]
+        assert counters(counting.statistics) == statistics_oracle(
+            oracle.subscriptions().values(), batch
+        )
+
+    apply_churn(ops, after_each=check)

@@ -9,6 +9,8 @@ from repro.subscriptions.builder import And, Not, Or, P
 from repro.subscriptions.nodes import ConstNode
 from repro.subscriptions.subscription import Subscription
 
+from tests.stats_oracle import counters, statistics_oracle
+
 
 def sub(sub_id, tree, owner=None):
     return Subscription(sub_id, tree, owner=owner)
@@ -113,12 +115,17 @@ class TestMultipleSubscriptions:
 class TestStatistics:
     def test_counters_accumulate(self, matcher):
         matcher.register(sub(1, And(P("a") == 1, P("b") == 2)))
-        matcher.match(Event({"a": 1, "b": 2}))
-        matcher.match(Event({"a": 1}))
+        matcher.register(sub(2, And(P("a") != 1, Or(P("b") == 2, P("c") < 3))))
+        events = [Event({"a": 1, "b": 2}), Event({"a": 1}), Event({"a": 2, "c": 0})]
+        for event in events:
+            matcher.match(event)
         stats = matcher.statistics
-        assert stats.events == 2
-        assert stats.matches == 1
+        assert stats.events == 3
+        assert stats.matches == 2
         assert stats.elapsed_seconds > 0
+        assert counters(stats) == statistics_oracle(
+            matcher.subscriptions().values(), events
+        )
 
     def test_flat_shapes_do_not_need_tree_evaluation(self, matcher):
         matcher.register(sub(1, And(P("a") == 1, P("b") == 2)))

@@ -1,8 +1,13 @@
-"""Direct tests of the per-attribute predicate index structures."""
+"""Direct tests of the per-attribute predicate index structures.
+
+Every probe goes through ``collect_batch``, the one probe the counting
+engine runs; a single value is a one-row column.
+"""
 
 import pytest
 
 from repro.errors import MatchingError
+from repro.events import Event, EventBatch
 from repro.matching.predicate_index import (
     AttributeIndex,
     PredicateIndexSet,
@@ -11,21 +16,27 @@ from repro.matching.predicate_index import (
 from repro.subscriptions.predicates import Operator, Predicate
 
 
-def collect(index, value):
-    positives, negatives = [], []
-    index.collect(value, positives, negatives)
-    pos = sorted(int(x) for array in positives for x in array)
-    neg = sorted(int(x) for array in negatives for x in array)
-    return pos, neg
+def net_rows(index, values):
+    """Per value (one column row each), the net fulfilled entries:
+    positives minus negatives as multisets."""
+    columns = EventBatch([Event({index.attribute: value}) for value in values])
+    positives, negatives = ([], []), ([], [])
+    index.collect_batch(
+        columns.columns().column(index.attribute), positives, negatives
+    )
+    result = [[] for _ in values]
+    for rows, entries in zip(*positives):
+        for row, entry in zip(rows.tolist(), entries.tolist()):
+            result[row].append(entry)
+    for rows, entries in zip(*negatives):
+        for row, entry in zip(rows.tolist(), entries.tolist()):
+            result[row].remove(entry)
+    return [sorted(entries) for entries in result]
 
 
 def net(index, value):
-    """Net fulfilled entries (positives minus negatives as multisets)."""
-    pos, neg = collect(index, value)
-    result = list(pos)
-    for entry in neg:
-        result.remove(entry)
-    return sorted(result)
+    """Net fulfilled entries for one value."""
+    return net_rows(index, [value])[0]
 
 
 class TestValueKey:
@@ -43,14 +54,12 @@ class TestEqualityIndexing:
     def test_eq_hit(self):
         index = AttributeIndex("a")
         index.add(Predicate("a", Operator.EQ, 5), 0)
-        index.finalize()
         assert net(index, 5) == [0]
         assert net(index, 6) == []
 
     def test_in_set_hits_each_member(self):
         index = AttributeIndex("a")
         index.add(Predicate("a", Operator.IN_SET, frozenset({1, 2})), 0)
-        index.finalize()
         assert net(index, 1) == [0]
         assert net(index, 2) == [0]
         assert net(index, 3) == []
@@ -59,14 +68,12 @@ class TestEqualityIndexing:
         index = AttributeIndex("a")
         index.add(Predicate("a", Operator.NE, 5), 0)
         index.add(Predicate("a", Operator.NE, 6), 1)
-        index.finalize()
         assert net(index, 5) == [1]
         assert net(index, 7) == [0, 1]
 
     def test_not_in_set_subtracts_any_member(self):
         index = AttributeIndex("a")
         index.add(Predicate("a", Operator.NOT_IN_SET, frozenset({1, 2})), 0)
-        index.finalize()
         assert net(index, 1) == []
         assert net(index, 2) == []
         assert net(index, 3) == [0]
@@ -80,7 +87,6 @@ class TestRangeIndexing:
         index.add(Predicate("a", Operator.LE, 10), 1)
         index.add(Predicate("a", Operator.GT, 10), 2)
         index.add(Predicate("a", Operator.GE, 10), 3)
-        index.finalize()
         return index
 
     def test_below_bound(self, index):
@@ -96,7 +102,6 @@ class TestRangeIndexing:
         index = AttributeIndex("a")
         index.add(Predicate("a", Operator.LE, "m"), 0)
         index.add(Predicate("a", Operator.LE, 10), 1)
-        index.finalize()
         assert net(index, "a") == [0]
         assert net(index, 5) == [1]
 
@@ -110,7 +115,6 @@ class TestStringIndexing:
         index.add(Predicate("s", Operator.PREFIX, "ab"), 0)
         index.add(Predicate("s", Operator.PREFIX, "abc"), 1)
         index.add(Predicate("s", Operator.PREFIX, "zz"), 2)
-        index.finalize()
         assert net(index, "abcd") == [0, 1]
         assert net(index, "ab") == [0]
         assert net(index, "a") == []
@@ -118,7 +122,6 @@ class TestStringIndexing:
     def test_not_prefix(self):
         index = AttributeIndex("s")
         index.add(Predicate("s", Operator.NOT_PREFIX, "ab"), 0)
-        index.finalize()
         assert net(index, "abX") == []
         assert net(index, "zz") == [0]
 
@@ -126,35 +129,15 @@ class TestStringIndexing:
         index = AttributeIndex("s")
         index.add(Predicate("s", Operator.CONTAINS, "bc"), 0)
         index.add(Predicate("s", Operator.NOT_CONTAINS, "bc"), 1)
-        index.finalize()
         assert net(index, "abcd") == [0]
         assert net(index, "xyz") == [1]
 
 
 class TestIndexLifecycle:
-    def test_add_after_finalize_allowed(self):
-        """Indexes are incrementally maintained; finalize is a no-op."""
-        index = AttributeIndex("a")
-        index.finalize()
-        index.add(Predicate("a", Operator.EQ, 1), 0)
-        assert net(index, 1) == [0]
-
-    def test_collect_without_finalize(self):
-        index = AttributeIndex("a")
-        index.add(Predicate("a", Operator.EQ, 1), 0)
-        assert net(index, 1) == [0]
-
     def test_attribute_mismatch_rejected(self):
         index = AttributeIndex("a")
         with pytest.raises(MatchingError):
             index.add(Predicate("b", Operator.EQ, 1), 0)
-
-    def test_finalize_idempotent(self):
-        index = AttributeIndex("a")
-        index.add(Predicate("a", Operator.EQ, 1), 0)
-        index.finalize()
-        index.finalize()
-        assert net(index, 1) == [0]
 
 
 class TestIncrementalRemoval:
@@ -219,17 +202,18 @@ class TestPredicateIndexSet:
         index_set = PredicateIndexSet()
         index_set.add(Predicate("a", Operator.EQ, 1))
         index_set.add(Predicate("b", Operator.EQ, 1))
-        index_set.finalize()
-        positives, negatives = [], []
-        index_set.collect("a", 1, positives, negatives)
-        assert [int(x) for array in positives for x in array] == [0]
+        columns = EventBatch([Event({"a": 1})]).columns()
+        positives, negatives = ([], []), ([], [])
+        index_set.collect_batch(columns, positives, negatives)
+        assert [int(x) for array in positives[1] for x in array] == [0]
 
     def test_unknown_attribute_is_noop(self):
         index_set = PredicateIndexSet()
-        index_set.finalize()
-        positives, negatives = [], []
-        index_set.collect("zzz", 1, positives, negatives)
-        assert positives == [] and negatives == []
+        index_set.add(Predicate("a", Operator.NE, 1))
+        columns = EventBatch([Event({"zzz": 1})]).columns()
+        positives, negatives = ([], []), ([], [])
+        index_set.collect_batch(columns, positives, negatives)
+        assert positives == ([], []) and negatives == ([], [])
 
     def test_attribute_names_sorted(self):
         index_set = PredicateIndexSet()

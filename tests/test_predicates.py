@@ -109,6 +109,20 @@ class TestSetOperators:
         with pytest.raises(SubscriptionError):
             Predicate("a", Operator.IN_SET, 5)
 
+    @pytest.mark.parametrize("operator", [Operator.IN_SET, Operator.NOT_IN_SET])
+    def test_nan_member_rejected(self, operator):
+        with pytest.raises(SubscriptionError):
+            Predicate("a", operator, frozenset({1.0, float("nan")}))
+
+
+@pytest.mark.parametrize(
+    "operator",
+    [Operator.EQ, Operator.NE, Operator.LT, Operator.LE, Operator.GT, Operator.GE],
+)
+def test_nan_constant_rejected(operator):
+    with pytest.raises(SubscriptionError):
+        Predicate("a", operator, float("nan"))
+
 
 class TestStringOperators:
     def test_prefix(self):

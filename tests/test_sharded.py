@@ -1,4 +1,4 @@
-"""Property tests: sharded matching ≡ unsharded ≡ per-event oracle.
+"""Property tests: sharded matching ≡ unsharded ≡ statistics oracle.
 
 The equivalence harness of the sharded engine
 (:mod:`repro.matching.sharded`): at every point of an arbitrary
@@ -7,8 +7,9 @@ every executor — serial, and process workers fed shared-memory
 batches — a :class:`ShardedMatcher` must produce exactly the
 per-event id lists of one unsharded :class:`CountingMatcher` over the
 same table — and exactly its path-independent ``MatchStatistics``
-counters — including empty shards and worst-case all-subscriptions-in-
-one-shard skew.  A concurrency stress section hammers a process-sharded
+counters, which both equal the independent oracle of
+``tests/stats_oracle.py`` — including empty shards and worst-case
+all-subscriptions-in-one-shard skew.  A concurrency stress section hammers a process-sharded
 matcher from many caller threads and asserts the merge stays
 deterministic.
 """
@@ -29,6 +30,7 @@ from repro.subscriptions.builder import P
 from repro.subscriptions.subscription import Subscription
 
 from tests import strategies
+from tests.stats_oracle import counters, statistics_oracle
 
 #: Churn op codes drawn by the properties below (register twice as
 #: likely, like the batch-equivalence suite).
@@ -69,17 +71,6 @@ def apply_churn(ops, *matchers):
                 matcher.unregister(target)
 
 
-def counters(stats):
-    """The path-independent counter tuple (wall clock excluded)."""
-    return (
-        stats.events,
-        stats.matches,
-        stats.candidates,
-        stats.tree_evaluations,
-        stats.fulfilled_predicates,
-    )
-
-
 class _AllOnShardZero(ShardedMatcher):
     """Worst-case skew: every subscription routed to shard 0."""
 
@@ -98,8 +89,10 @@ def test_sharded_equals_unsharded_and_oracle(shards, executor, ops, events):
     try:
         batch = EventBatch(events)
         assert sharded.match_batch(batch) == plain.match_batch(batch)
-        assert counters(sharded.statistics) == counters(plain.statistics)
-        # The per-event oracle, through both single-event entry points.
+        expected = statistics_oracle(plain.subscriptions().values(), events)
+        assert counters(plain.statistics) == expected
+        assert counters(sharded.statistics) == expected
+        # Both single-event entry points (one-row batches).
         oracle = [plain.match(event) for event in events]
         assert [sharded.match(event) for event in events] == oracle
         assert counters(sharded.statistics) == counters(plain.statistics)

@@ -23,6 +23,9 @@ from repro.events import Event
 from repro.routing.topology import line_topology
 from repro.service import PubSubService
 from repro.service.sinks import Notification
+from repro.subscriptions import P
+from repro.subscriptions.normalize import normalize
+from repro.subscriptions.serialize import node_to_dict
 from repro.transport.protocol import (
     ENVELOPE_SCHEMA,
     ENVELOPE_TYPES,
@@ -217,6 +220,8 @@ class TestEventCodec:
             event_from_wire({"": 1})  # empty attribute name
         with pytest.raises(ProtocolError):
             event_from_wire({"x": [1, 2]})  # unsupported value type
+        with pytest.raises(ProtocolError):
+            event_from_wire(json.loads('{"x": NaN}'))  # unordered value
 
     def test_notification_round_trip(self):
         notification = Notification(
@@ -280,6 +285,71 @@ class TestLiveServerRejection:
                 writer.write(encode_frame({"type": "goodbye"}))
                 goodbye = await read_one()
                 assert goodbye["type"] == "goodbye"
+                writer.close()
+            service.close()
+
+        asyncio.run(main())
+
+    @pytest.mark.timeout(60)
+    def test_nan_publish_gets_bad_event_and_connection_keeps_publishing(self):
+        """``json.loads`` accepts ``NaN``; the event model refuses it, so
+        the publish draws ``bad-event`` and is never matched."""
+
+        async def main():
+            service = PubSubService(topology=line_topology(1))
+            async with PubSubServer(service, "b0") as server:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                decoder = FrameDecoder()
+                pending = []
+
+                async def read_one():
+                    while not pending:
+                        pending.extend(decoder.feed(await reader.read(4096)))
+                    return pending.pop(0)
+
+                writer.write(
+                    encode_frame(
+                        {
+                            "type": "hello",
+                            "client": "raw",
+                            "version": PROTOCOL_VERSION,
+                        }
+                    )
+                )
+                assert (await read_one())["type"] == "welcome"
+                writer.write(
+                    encode_frame(
+                        {
+                            "type": "subscribe",
+                            "id": 1,
+                            "tree": node_to_dict(normalize(P("x") > 5)),
+                        }
+                    )
+                )
+                assert (await read_one())["type"] == "subscribed"
+
+                writer.write(
+                    _raw_frame(b'{"type":"publish","id":2,"event":{"x":NaN}}')
+                )
+                error = await read_one()
+                assert error["type"] == "error"
+                assert error["code"] == "bad-event"
+                assert error["id"] == 2
+
+                writer.write(
+                    encode_frame({"type": "publish", "id": 3, "event": {"x": 7.0}})
+                )
+                replies = [await read_one(), await read_one()]
+                kinds = sorted(reply["type"] for reply in replies)
+                assert kinds == ["event", "published"]
+                (delivery,) = [r for r in replies if r["type"] == "event"]
+                assert delivery["event"] == {"x": 7.0}
+
+                writer.write(encode_frame({"type": "goodbye"}))
+                while (await read_one())["type"] != "goodbye":
+                    pass
                 writer.close()
             service.close()
 
